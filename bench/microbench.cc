@@ -18,6 +18,7 @@
 #include "green/data/synthetic.h"
 #include "green/ml/kernels/histogram.h"
 #include "green/ml/model_registry.h"
+#include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
 #include "green/ml/models/gradient_boosting.h"
@@ -62,6 +63,36 @@ void BM_DecisionTreeFit(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_DecisionTreeFit)->Arg(200)->Arg(800);
+
+// Forest-level fit: one presort per fit, then every tree expands its
+// bootstrap sample from it. Arg = training rows.
+void BM_RandomForestFit(benchmark::State& state) {
+  const Dataset data =
+      BenchData(static_cast<size_t>(state.range(0)), 16, 3);
+  Ctx c;
+  for (auto _ : state) {
+    RandomForest forest{RandomForestParams{}};
+    benchmark::DoNotOptimize(forest.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_RandomForestFit)->Arg(200)->Arg(800);
+
+// SAMME rounds of shallow trees on weighted bootstrap samples of the
+// same training set. Arg = training rows.
+void BM_AdaBoostFit(benchmark::State& state) {
+  const Dataset data =
+      BenchData(static_cast<size_t>(state.range(0)), 16, 3);
+  Ctx c;
+  for (auto _ : state) {
+    AdaBoost model{AdaBoostParams{}};
+    benchmark::DoNotOptimize(model.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_AdaBoostFit)->Arg(200)->Arg(800);
 
 void BM_RandomForestPredict(benchmark::State& state) {
   const Dataset data = BenchData(400, 16, 3);

@@ -88,28 +88,48 @@ void GatherTransposed(const Dataset& train, const uint32_t* rid, size_t m,
   }
 }
 
-/// Sorts each feature stripe by (value, row id) — the order std::sort on
-/// (value, row) pairs produces in the reference; slots with fully equal
-/// keys are duplicates of one row and therefore interchangeable.
-void PresortStripes(const uint32_t* rid, const double* colT, size_t m,
-                    size_t d, uint32_t* spos, double* sval) {
+/// Argsorts each of the d columns of the n x d column-major `colT`
+/// (slot == row id) by the FeatureOrder contract. NaN cells are moved
+/// behind the numbers first, in row-id order, so the sort only compares
+/// numbers; (value, row id) is then a strict weak ordering, as std::sort
+/// requires, and -0.0 == +0.0 falls back to row id. (This comparator
+/// shape sorts measurably faster under GCC than `va != vb ? ...`.)
+void PresortStripes(const double* colT, size_t n, size_t d, uint32_t* rid,
+                    double* val) {
   for (size_t f = 0; f < d; ++f) {
-    const double* colf = colT + f * m;
-    uint32_t* sp = spos + f * m;
-    std::iota(sp, sp + m, uint32_t{0});
-    std::sort(sp, sp + m, [colf, rid](uint32_t a, uint32_t b) {
+    const double* colf = colT + f * n;
+    uint32_t* sp = rid + f * n;
+    size_t numbers = 0;
+    for (size_t r = 0; r < n; ++r) {
+      if (!std::isnan(colf[r])) sp[numbers++] = static_cast<uint32_t>(r);
+    }
+    for (size_t r = 0, k = numbers; k < n; ++r) {
+      if (std::isnan(colf[r])) sp[k++] = static_cast<uint32_t>(r);
+    }
+    std::sort(sp, sp + numbers, [colf](uint32_t a, uint32_t b) {
       const double va = colf[a];
       const double vb = colf[b];
-      if (va != vb) return va < vb;
-      return rid[a] < rid[b];
+      if (va < vb) return true;
+      if (vb < va) return false;
+      return a < b;
     });
-    double* sv = sval + f * m;
-    for (size_t i = 0; i < m; ++i) sv[i] = colf[sp[i]];
+    double* sv = val + f * n;
+    for (size_t i = 0; i < n; ++i) sv[i] = colf[sp[i]];
   }
 }
 
+/// True when `rows` is 0, 1, ..., n - 1: slot i is row i.
+bool IsEveryRowInOrder(const std::vector<size_t>& rows, size_t n) {
+  if (rows.size() != n) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i] != i) return false;
+  }
+  return true;
+}
+
 void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
-                   TreeMode mode, bool classification,
+                   const FeatureOrder* order, TreeMode mode,
+                   bool classification,
                    const std::vector<double>* ext_targets, int hist_bins,
                    int k, Arena* arena, TreeWorkspace* ws) {
   const size_t m = rows.size();
@@ -142,11 +162,7 @@ void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
   if (mode == TreeMode::kExact) {
     ws->spos = arena->AllocArray<uint32_t>(d * m);
     ws->sval = arena->AllocArray<double>(d * m);
-    // The column gather only feeds the presort here; reclaim it.
-    ArenaScope gather_scope(arena);
-    double* colT = arena->AllocArray<double>(d * m);
-    GatherTransposed(train, ws->rid, m, d, colT);
-    PresortStripes(ws->rid, colT, m, d, ws->spos, ws->sval);
+    ExpandFeatureOrder(*order, rows, arena, ws->spos, ws->sval);
   } else {
     ws->colT = arena->AllocArray<double>(d * m);
     GatherTransposed(train, ws->rid, m, d, ws->colT);
@@ -267,8 +283,14 @@ struct TreeBuilder {
                     double threshold) {
     const double* svb = ws.sval + best_feature * ws.m;
     const uint32_t* spb = ws.spos + best_feature * ws.m;
+    // NaN sits after every number in the stripe, so it counts as
+    // greater than any threshold; the range stays partitioned.
     const size_t nl = static_cast<size_t>(
-        std::upper_bound(svb + lo, svb + hi, threshold) - (svb + lo));
+        std::upper_bound(svb + lo, svb + hi, threshold,
+                         [](double t, double v) {
+                           return t < v || std::isnan(v);
+                         }) -
+        (svb + lo));
     for (size_t i = lo; i < hi; ++i) {
       ws.flag[spb[i]] = i < lo + nl ? 1 : 0;
     }
@@ -630,8 +652,78 @@ int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
 
 }  // namespace
 
+FeatureOrder::FeatureOrder(const Dataset& train, Arena* arena) {
+  n_ = train.num_rows();
+  d_ = train.num_features();
+  uint32_t* rid = arena->AllocArray<uint32_t>(d_ * n_);
+  double* val = arena->AllocArray<double>(d_ * n_);
+  {
+    // The column gather only feeds the presort; reclaim it.
+    ArenaScope gather_scope(arena);
+    double* colT = arena->AllocArray<double>(d_ * n_);
+    for (size_t r = 0; r < n_; ++r) {
+      const double* row = train.RowPtr(r);
+      for (size_t f = 0; f < d_; ++f) colT[f * n_ + r] = row[f];
+    }
+    PresortStripes(colT, n_, d_, rid, val);
+  }
+  rid_ = rid;
+  val_ = val;
+}
+
+void ExpandFeatureOrder(const FeatureOrder& order,
+                        const std::vector<size_t>& rows, Arena* arena,
+                        uint32_t* spos, double* sval) {
+  const size_t n = order.num_rows();
+  const size_t m = rows.size();
+  if (IsEveryRowInOrder(rows, n)) {
+    // Slot == row id: the stripes are the shared order itself.
+    const size_t cells = order.num_features() * n;
+    std::memcpy(spos, order.rows(0), cells * sizeof(uint32_t));
+    std::memcpy(sval, order.values(0), cells * sizeof(double));
+    return;
+  }
+  ArenaScope scope(arena);
+  // Row -> bootstrap-slots table: the slots of row r are
+  // by_row[start[r], start[r + 1]), ascending.
+  uint32_t* start = arena->AllocArray<uint32_t>(n + 1);
+  std::fill(start, start + n + 1, uint32_t{0});
+  for (size_t s = 0; s < m; ++s) ++start[rows[s] + 1];
+  for (size_t r = 0; r < n; ++r) start[r + 1] += start[r];
+  uint32_t* cursor = arena->AllocArray<uint32_t>(n);
+  std::memcpy(cursor, start, n * sizeof(uint32_t));
+  uint32_t* by_row = arena->AllocArray<uint32_t>(m);
+  for (size_t s = 0; s < m; ++s) {
+    by_row[cursor[rows[s]]++] = static_cast<uint32_t>(s);
+  }
+  // One walk of the shared order per feature emits every sampled row's
+  // slots at its rank: the per-sample (value, row id) order, no sort.
+  for (size_t f = 0; f < order.num_features(); ++f) {
+    const uint32_t* fr = order.rows(f);
+    const double* fv = order.values(f);
+    uint32_t* sp = spos + f * m;
+    double* sv = sval + f * m;
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = fr[i];
+      const double v = fv[i];
+      for (uint32_t j = start[r], end = start[r + 1]; j < end; ++j) {
+        sp[k] = by_row[j];
+        sv[k] = v;
+        ++k;
+      }
+    }
+  }
+}
+
+bool UsesFeatureOrder(const TreeKernelParams& params, bool regression) {
+  return !params.random_thresholds &&
+         (regression || params.histogram_bins <= 0);
+}
+
 void KernelBuildClsTree(const Dataset& train,
                         const std::vector<size_t>& rows,
+                        const FeatureOrder* order,
                         const TreeKernelParams& params, int num_classes,
                         Rng* rng, double* flops, Arena* arena,
                         TreeNodeSink* sink) {
@@ -642,7 +734,7 @@ void KernelBuildClsTree(const Dataset& train,
   b.rng = rng;
   b.flops = flops;
   b.sink = sink;
-  InitWorkspace(train, rows, b.mode, /*classification=*/true,
+  InitWorkspace(train, rows, order, b.mode, /*classification=*/true,
                 /*ext_targets=*/nullptr, params.histogram_bins, num_classes,
                 arena, &b.ws);
   b.BuildClsNode(num_classes, 0, rows.size(), 0);
@@ -650,6 +742,7 @@ void KernelBuildClsTree(const Dataset& train,
 
 void KernelBuildRegTree(const Dataset& train,
                         const std::vector<size_t>& rows,
+                        const FeatureOrder* order,
                         const TreeKernelParams& params, Rng* rng,
                         double* flops, Arena* arena, TreeNodeSink* sink) {
   ArenaScope scope(arena);
@@ -661,27 +754,22 @@ void KernelBuildRegTree(const Dataset& train,
   b.rng = rng;
   b.flops = flops;
   b.sink = sink;
-  InitWorkspace(train, rows, b.mode, /*classification=*/false,
+  InitWorkspace(train, rows, order, b.mode, /*classification=*/false,
                 /*ext_targets=*/nullptr, /*hist_bins=*/0, /*k=*/1, arena,
                 &b.ws);
   b.BuildRegNode(0, rows.size(), 0);
 }
 
-GbRoundPresort::GbRoundPresort(const Dataset& train,
+GbRoundPresort::GbRoundPresort(const FeatureOrder& order,
                                const std::vector<size_t>& rows,
                                Arena* arena) {
   m_ = rows.size();
-  d_ = train.num_features();
+  d_ = order.num_features();
   uint32_t* rid = arena->AllocArray<uint32_t>(m_);
   for (size_t i = 0; i < m_; ++i) rid[i] = static_cast<uint32_t>(rows[i]);
   uint32_t* spos = arena->AllocArray<uint32_t>(d_ * m_);
   double* sval = arena->AllocArray<double>(d_ * m_);
-  {
-    ArenaScope gather_scope(arena);
-    double* colT = arena->AllocArray<double>(d_ * m_);
-    GatherTransposed(train, rid, m_, d_, colT);
-    PresortStripes(rid, colT, m_, d_, spos, sval);
-  }
+  ExpandFeatureOrder(order, rows, arena, spos, sval);
   rid_ = rid;
   spos_ = spos;
   sval_ = sval;
@@ -692,8 +780,8 @@ void KernelBuildGbTree(const GbRoundPresort& presort,
                        const TreeKernelParams& params, double* flops,
                        Arena* arena, TreeNodeSink* sink) {
   ArenaScope scope(arena);
-  const size_t m = presort.m_;
-  const size_t d = presort.d_;
+  const size_t m = presort.num_rows();
+  const size_t d = presort.num_features();
   TreeBuilder b;
   b.params = &params;
   b.mode = TreeMode::kExact;
@@ -705,12 +793,11 @@ void KernelBuildGbTree(const GbRoundPresort& presort,
   // presorted stripes differently, so each starts from the pristine copy.
   b.ws.spos = arena->AllocArray<uint32_t>(d * m);
   b.ws.sval = arena->AllocArray<double>(d * m);
-  std::memcpy(b.ws.spos, presort.spos_, d * m * sizeof(uint32_t));
-  std::memcpy(b.ws.sval, presort.sval_, d * m * sizeof(double));
+  std::memcpy(b.ws.spos, presort.slots(0), d * m * sizeof(uint32_t));
+  std::memcpy(b.ws.sval, presort.values(0), d * m * sizeof(double));
+  const uint32_t* rid = presort.row_ids();
   b.ws.tgt = arena->AllocArray<double>(m);
-  for (size_t i = 0; i < m; ++i) {
-    b.ws.tgt[i] = targets[presort.rid_[i]];
-  }
+  for (size_t i = 0; i < m; ++i) b.ws.tgt[i] = targets[rid[i]];
   b.ws.nslot = arena->AllocArray<uint32_t>(m);
   std::iota(b.ws.nslot, b.ws.nslot + m, uint32_t{0});
   b.ws.flag = arena->AllocArray<uint8_t>(m);

@@ -45,16 +45,65 @@ class TreeNodeSink {
                         int right) = 0;
 };
 
+/// One fit's shared presort: every row of the training Dataset argsorted
+/// per feature, stored as d x n row ids plus the values in that order.
+/// The fit (DecisionTree, RandomForest, AdaBoost, GradientBoosting) builds
+/// it once and hands it to every tree it grows; each tree then derives its
+/// own slot stripes with an O(n + m) counting pass instead of sorting.
+///
+/// Ordering contract, per feature: ascending value, ties broken by row
+/// id. NaN sorts after every number (NaNs among themselves by row id);
+/// -0.0 and +0.0 compare equal and so fall back to row id. For NaN-free
+/// columns this is exactly the order std::sort on (value, row) pairs
+/// gives. The arrays borrow d * n * 12 bytes of `arena`; keep the
+/// surrounding ArenaScope open for this object's lifetime.
+class FeatureOrder {
+ public:
+  FeatureOrder(const Dataset& train, Arena* arena);
+
+  size_t num_rows() const { return n_; }
+  size_t num_features() const { return d_; }
+  /// Row ids of feature `f` in sorted order (num_rows() entries).
+  const uint32_t* rows(size_t f) const { return rid_ + f * n_; }
+  /// Feature `f`'s values in the same order.
+  const double* values(size_t f) const { return val_ + f * n_; }
+
+ private:
+  size_t n_ = 0;
+  size_t d_ = 0;
+  const uint32_t* rid_ = nullptr;
+  const double* val_ = nullptr;
+};
+
+/// Expands `order` to the slot stripes of the row sample `rows`
+/// (duplicates allowed): writes d x m slots (positions in `rows`) and
+/// their values, each stripe in the FeatureOrder's (value, row id)
+/// order. The slots of one duplicated row come out adjacent and are
+/// interchangeable, since they carry the same row. O(n + m) per feature
+/// via a row -> slots table on `arena` (inside a scope); a plain copy
+/// when `rows` is every row in order.
+void ExpandFeatureOrder(const FeatureOrder& order,
+                        const std::vector<size_t>& rows, Arena* arena,
+                        uint32_t* spos, double* sval);
+
+/// True when a kernel build with `params` runs the exact presorted split
+/// search and therefore needs the fit's FeatureOrder. Regression builds
+/// ignore `histogram_bins`.
+bool UsesFeatureOrder(const TreeKernelParams& params, bool regression);
+
 /// Builds a classification tree over `rows` (duplicates allowed —
 /// bootstrap samples), mirroring DecisionTree::BuildNode bit-for-bit in
 /// the default mode: identical RNG consumption, identical split choices,
 /// identical leaf distributions, identical `*flops` accumulation. The
-/// exact path presorts each feature once per tree and stable-partitions
-/// the per-feature index lists down the recursion; the random-threshold
-/// path gathers each node's column once (fixing the double At() fetch)
-/// and scans contiguous arrays. Scratch lives on `arena` inside a scope.
+/// exact path expands the fit's `order` (required when
+/// UsesFeatureOrder(params, false), otherwise ignored) into per-tree slot
+/// stripes and stable-partitions them down the recursion; the
+/// random-threshold path gathers each node's column once (fixing the
+/// double At() fetch) and scans contiguous arrays. Scratch lives on
+/// `arena` inside a scope.
 void KernelBuildClsTree(const Dataset& train,
                         const std::vector<size_t>& rows,
+                        const FeatureOrder* order,
                         const TreeKernelParams& params, int num_classes,
                         Rng* rng, double* flops, Arena* arena,
                         TreeNodeSink* sink);
@@ -63,33 +112,36 @@ void KernelBuildClsTree(const Dataset& train,
 /// DecisionTree::BuildRegNode (SSE criterion, {mean} proba leaves).
 void KernelBuildRegTree(const Dataset& train,
                         const std::vector<size_t>& rows,
+                        const FeatureOrder* order,
                         const TreeKernelParams& params, Rng* rng,
                         double* flops, Arena* arena, TreeNodeSink* sink);
 
-/// Per-round presorted feature cache for gradient boosting: the k
-/// per-class trees of one boosting round share the same row sample, so
-/// the sort-once-per-feature work is done here once and memcpy'd into
-/// each tree's working arrays.
+/// Per-round pristine stripes for gradient boosting: the k per-class
+/// trees of one boosting round share the same row sample, so its slot
+/// stripes are derived from the fit's FeatureOrder once per round and
+/// memcpy'd into each tree's working arrays.
 class GbRoundPresort {
  public:
-  /// Gathers and presorts all feature columns of `rows`. The presort
-  /// borrows `arena` storage; keep the surrounding ArenaScope open for
-  /// this object's lifetime.
-  GbRoundPresort(const Dataset& train, const std::vector<size_t>& rows,
+  /// Rank-filters `order` down to `rows` (ExpandFeatureOrder: a plain
+  /// copy when `rows` is every row). Storage borrows `arena`; keep the
+  /// surrounding ArenaScope open for this object's lifetime.
+  GbRoundPresort(const FeatureOrder& order, const std::vector<size_t>& rows,
                  Arena* arena);
 
   size_t num_rows() const { return m_; }
   size_t num_features() const { return d_; }
+  /// Slot -> original row id.
+  const uint32_t* row_ids() const { return rid_; }
+  /// Feature `f`'s slots in sorted order (num_rows() entries).
+  const uint32_t* slots(size_t f) const { return spos_ + f * m_; }
+  /// Feature `f`'s values in the same order.
+  const double* values(size_t f) const { return sval_ + f * m_; }
 
  private:
-  friend void KernelBuildGbTree(const GbRoundPresort&,
-                                const std::vector<double>&,
-                                const TreeKernelParams&, double*, Arena*,
-                                TreeNodeSink*);
   size_t m_ = 0;
   size_t d_ = 0;
-  const uint32_t* rid_ = nullptr;   ///< Slot -> original row id.
-  const uint32_t* spos_ = nullptr;  ///< d x m sorted slot lists (pristine).
+  const uint32_t* rid_ = nullptr;
+  const uint32_t* spos_ = nullptr;  ///< d x m sorted slot lists.
   const double* sval_ = nullptr;    ///< d x m values in sorted order.
 };
 

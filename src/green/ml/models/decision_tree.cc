@@ -5,11 +5,10 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 
-#include "green/common/arena.h"
 #include "green/common/logging.h"
 #include "green/ml/kernels/kernels.h"
-#include "green/ml/kernels/tree_kernels.h"
 
 namespace green {
 
@@ -33,6 +32,21 @@ std::vector<double> ClassDistribution(const Dataset& train,
     counts[static_cast<size_t>(train.Label(r))] += 1.0;
   }
   return counts;
+}
+
+bool UseTreeKernels(const Dataset& train) {
+  return KernelsEnabled() &&
+         train.num_rows() <= std::numeric_limits<uint32_t>::max();
+}
+
+TreeKernelParams KernelParams(const DecisionTreeParams& params) {
+  TreeKernelParams kp;
+  kp.max_depth = params.max_depth;
+  kp.min_samples_leaf = params.min_samples_leaf;
+  kp.max_features_fraction = params.max_features_fraction;
+  kp.random_thresholds = params.random_thresholds;
+  kp.histogram_bins = params.histogram_bins;
+  return kp;
 }
 
 void Normalize(std::vector<double>* v) {
@@ -80,7 +94,10 @@ Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
   std::iota(all.begin(), all.end(), 0);
   Rng rng(params_.seed);
   double flops = 0.0;
-  GREEN_RETURN_IF_ERROR(FitCounted(train, all, &rng, &flops));
+  ArenaScope fit_scope(ScratchArena());
+  const std::optional<FeatureOrder> order =
+      PresortFor(train, params_, ScratchArena());
+  GREEN_RETURN_IF_ERROR(FitCounted(train, all, order, &rng, &flops));
   // Single-tree induction is mostly sequential (node-by-node greedy).
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.3);
   if (ctx->Interrupted()) {
@@ -89,28 +106,41 @@ Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
   return Status::Ok();
 }
 
+std::optional<FeatureOrder> DecisionTree::PresortFor(
+    const Dataset& train, const DecisionTreeParams& params, Arena* arena) {
+  if (!UseTreeKernels(train) ||
+      !UsesFeatureOrder(KernelParams(params),
+                        train.task() == TaskType::kRegression)) {
+    return std::nullopt;
+  }
+  return FeatureOrder(train, arena);
+}
+
 Status DecisionTree::FitCounted(const Dataset& train,
                                 const std::vector<size_t>& row_indices,
+                                const std::optional<FeatureOrder>& order,
                                 Rng* rng, double* flops) {
   if (train.num_rows() == 0 || row_indices.empty()) {
     return Status::InvalidArgument("decision_tree: empty training data");
   }
   nodes_.clear();
-  if (KernelsEnabled() &&
-      train.num_rows() <= std::numeric_limits<uint32_t>::max()) {
-    TreeKernelParams kp;
-    kp.max_depth = params_.max_depth;
-    kp.min_samples_leaf = params_.min_samples_leaf;
-    kp.max_features_fraction = params_.max_features_fraction;
-    kp.random_thresholds = params_.random_thresholds;
-    kp.histogram_bins = params_.histogram_bins;
+  if (UseTreeKernels(train)) {
+    const TreeKernelParams kp = KernelParams(params_);
+    const bool regression = train.task() == TaskType::kRegression;
+    if (UsesFeatureOrder(kp, regression) &&
+        (!order || order->num_rows() != train.num_rows() ||
+         order->num_features() != train.num_features())) {
+      return Status::FailedPrecondition(
+          "decision_tree: exact kernel build needs the fit's FeatureOrder");
+    }
+    const FeatureOrder* shared = order ? &*order : nullptr;
     KernelSink sink(&nodes_);
-    if (train.task() == TaskType::kRegression) {
-      KernelBuildRegTree(train, row_indices, kp, rng, flops,
+    if (regression) {
+      KernelBuildRegTree(train, row_indices, shared, kp, rng, flops,
                          ScratchArena(), &sink);
     } else {
-      KernelBuildClsTree(train, row_indices, kp, train.num_classes(), rng,
-                         flops, ScratchArena(), &sink);
+      KernelBuildClsTree(train, row_indices, shared, kp, train.num_classes(),
+                         rng, flops, ScratchArena(), &sink);
     }
   } else {
     std::vector<size_t> rows = row_indices;

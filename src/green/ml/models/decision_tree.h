@@ -1,10 +1,13 @@
 #ifndef GREEN_ML_MODELS_DECISION_TREE_H_
 #define GREEN_ML_MODELS_DECISION_TREE_H_
 
+#include <optional>
 #include <vector>
 
+#include "green/common/arena.h"
 #include "green/common/rng.h"
 #include "green/ml/estimator.h"
+#include "green/ml/kernels/tree_kernels.h"
 
 namespace green {
 
@@ -48,11 +51,21 @@ class DecisionTree : public Estimator {
     return static_cast<double>(nodes_.size());
   }
 
+  /// The presort shared by every tree one fit grows on `train` with
+  /// `params`: a FeatureOrder on `arena` when those trees take the
+  /// kernel build's exact split search, nullopt otherwise (kernels off,
+  /// random thresholds, histogram scan). Keep the surrounding ArenaScope
+  /// open until the fit's last tree is built.
+  static std::optional<FeatureOrder> PresortFor(
+      const Dataset& train, const DecisionTreeParams& params, Arena* arena);
+
   /// Ensemble-internal entry points: train/score on behalf of a parent
   /// that does its own (parallel) work accounting. `flops` accumulates
-  /// the abstract work performed.
+  /// the abstract work performed. `order` is the fit's
+  /// PresortFor(train, params) result.
   Status FitCounted(const Dataset& train,
-                    const std::vector<size_t>& row_indices, Rng* rng,
+                    const std::vector<size_t>& row_indices,
+                    const std::optional<FeatureOrder>& order, Rng* rng,
                     double* flops);
   void PredictProbaCounted(const Dataset& data, ProbaMatrix* out,
                            double* flops) const;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "green/ml/kernels/kernels.h"
 
@@ -35,8 +36,9 @@ Status ExtraTrees::Fit(const Dataset& train, ExecutionContext* ctx) {
     Rng tree_rng = rng.Fork();
     tree_params.seed = tree_rng.NextUint64();
     trees_.emplace_back(tree_params);
-    GREEN_RETURN_IF_ERROR(
-        trees_.back().FitCounted(train, all, &tree_rng, &flops));
+    // Random thresholds scan node columns directly: no presort.
+    GREEN_RETURN_IF_ERROR(trees_.back().FitCounted(
+        train, all, /*order=*/std::nullopt, &tree_rng, &flops));
   }
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.95);
   if (ctx->Interrupted()) {

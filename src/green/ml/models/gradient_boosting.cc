@@ -80,6 +80,19 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
   std::vector<double> target(n);
   std::vector<double> proba;
 
+  // One presort for the whole run; each round rank-filters its row
+  // sample out of it.
+  Arena* arena = ScratchArena();
+  ArenaScope fit_scope(arena);
+  std::optional<FeatureOrder> order;
+  if (KernelsEnabled() &&
+      train.num_rows() <= std::numeric_limits<uint32_t>::max()) {
+    order.emplace(train, arena);
+  }
+  TreeKernelParams kp;
+  kp.max_depth = params_.max_depth;
+  kp.min_samples_leaf = params_.min_samples_leaf;
+
   for (int round = 0; round < params_.num_rounds; ++round) {
     if (ctx->Interrupted()) {
       return Status::DeadlineExceeded("gboost: interrupted mid-fit");
@@ -98,21 +111,12 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
       std::iota(rows.begin(), rows.end(), 0);
     }
 
-    const bool use_kernels =
-        KernelsEnabled() &&
-        train.num_rows() <= std::numeric_limits<uint32_t>::max();
     // The k per-class trees of one round share the row sample, so the
-    // kernel path presorts each feature once per round and hands every
+    // kernel path derives its stripes once per round and hands every
     // tree a pristine copy.
-    Arena* arena = ScratchArena();
     ArenaScope round_scope(arena);
     std::optional<GbRoundPresort> presort;
-    TreeKernelParams kp;
-    if (use_kernels) {
-      presort.emplace(train, rows, arena);
-      kp.max_depth = params_.max_depth;
-      kp.min_samples_leaf = params_.min_samples_leaf;
-    }
+    if (order) presort.emplace(*order, rows, arena);
 
     std::vector<RegTree> round_trees;
     round_trees.reserve(static_cast<size_t>(k));
@@ -133,7 +137,7 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
       }
       flops += static_cast<double>(n) * static_cast<double>(k);
       RegTree tree;
-      if (use_kernels) {
+      if (presort) {
         RegTreeSink sink(&tree);
         KernelBuildGbTree(*presort, target, kp, &flops, arena, &sink);
       } else {

@@ -1,7 +1,9 @@
 #include "green/ml/models/random_forest.h"
 
 #include <cmath>
+#include <optional>
 
+#include "green/common/arena.h"
 #include "green/ml/kernels/kernels.h"
 
 namespace green {
@@ -27,6 +29,11 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
   const size_t sample_size = std::max<size_t>(
       1, static_cast<size_t>(params_.bootstrap_fraction *
                              static_cast<double>(train.num_rows())));
+  // One presort for the whole forest; each tree expands its bootstrap
+  // sample from it.
+  ArenaScope fit_scope(ScratchArena());
+  const std::optional<FeatureOrder> order =
+      DecisionTree::PresortFor(train, tree_params, ScratchArena());
   for (int t = 0; t < params_.num_trees; ++t) {
     if (ctx->Interrupted()) {
       return Status::DeadlineExceeded("random_forest: interrupted mid-fit");
@@ -39,7 +46,7 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
     tree_params.seed = tree_rng.NextUint64();
     trees_.emplace_back(tree_params);
     GREEN_RETURN_IF_ERROR(
-        trees_.back().FitCounted(train, sample, &tree_rng, &flops));
+        trees_.back().FitCounted(train, sample, order, &tree_rng, &flops));
   }
   // Independent trees: embarrassingly parallel training.
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.95);

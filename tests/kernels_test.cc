@@ -1,14 +1,19 @@
 // Tests for the cache-friendly model kernels (GREEN_KERNELS): end-to-end
 // bit-identity of sweep records, scope trees, and serve reports with the
 // kernels on vs off (sequential and across worker counts), arena
-// reuse/rewind semantics, and histogram-vs-exact split agreement on
-// discrete-valued (tie-heavy) features.
+// reuse/rewind semantics, histogram-vs-exact split agreement on
+// discrete-valued (tie-heavy) features, exactness of the per-sample
+// stripes expanded from a fit's shared FeatureOrder, and clean fits on
+// NaN/Inf/signed-zero/constant columns.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +27,12 @@
 #include "green/data/synthetic.h"
 #include "green/ml/kernels/histogram.h"
 #include "green/ml/kernels/kernels.h"
+#include "green/ml/kernels/tree_kernels.h"
 #include "green/ml/model_registry.h"
+#include "green/ml/models/adaboost.h"
 #include "green/ml/models/decision_tree.h"
+#include "green/ml/models/gradient_boosting.h"
+#include "green/ml/models/random_forest.h"
 #include "green/serve/artifact_ladder.h"
 #include "green/serve/inference_server.h"
 #include "green/serve/request_stream.h"
@@ -353,6 +362,207 @@ TEST(HistogramSplitTest, TreePredictionsMatchExactOnDiscreteData) {
   // The approximation is allowed to differ on a handful of rows (bin
   // edges vs midpoints shift deep-node tie-breaks); it must not diverge.
   EXPECT_GE(agree, exact_proba->size() * 95 / 100);
+}
+
+// --- Shared presort: order expansion --------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Columns: heavy ties, signed zeros, +-Inf, NaN, constant, continuous.
+/// Column j of row r is a pure function of (r, j, seed).
+Dataset PathologicalData(size_t rows, int classes, uint64_t seed) {
+  Dataset data("pathological", 6, classes);
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const int label = static_cast<int>(r % static_cast<size_t>(classes));
+    const double signal = static_cast<double>(label) + rng.NextDouble();
+    const uint64_t pick = rng.NextBounded(6);
+    std::vector<double> x(6);
+    x[0] = static_cast<double>(rng.NextBounded(3));  // Heavy ties.
+    x[1] = pick < 3 ? -0.0 : (pick < 5 ? 0.0 : signal);
+    x[2] = pick == 0 ? -kInf : (pick == 1 ? kInf : signal);
+    x[3] = pick < 2 ? kNaN : signal;
+    x[4] = 3.5;  // Constant column.
+    x[5] = pick == 0 ? kNaN : (pick == 1 ? -0.0 : (pick == 2 ? kInf : signal));
+    EXPECT_TRUE(data.AppendRow(x, label).ok());
+  }
+  return data;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// A stripe as its (row id, value bits) sequence: duplicate slots of one
+/// row are interchangeable, so this is what must match exactly.
+using StripeSeq = std::vector<std::pair<size_t, uint64_t>>;
+
+/// Direct per-sample sort with the FeatureOrder contract: (value, row
+/// id), NaN after every number, -0.0 == +0.0.
+StripeSeq ReferenceStripe(const Dataset& data,
+                          const std::vector<size_t>& rows, size_t f) {
+  std::vector<size_t> slots(rows.size());
+  for (size_t s = 0; s < slots.size(); ++s) slots[s] = s;
+  std::sort(slots.begin(), slots.end(), [&](size_t a, size_t b) {
+    const double va = data.At(rows[a], f);
+    const double vb = data.At(rows[b], f);
+    const bool na = std::isnan(va);
+    const bool nb = std::isnan(vb);
+    if (na != nb) return nb;
+    if (!na && va != vb) return va < vb;
+    return rows[a] < rows[b];
+  });
+  StripeSeq seq;
+  for (size_t s : slots) {
+    seq.emplace_back(rows[s], Bits(data.At(rows[s], f)));
+  }
+  return seq;
+}
+
+/// Checks one expanded stripe: every slot exactly once, each value the
+/// slot's own cell, and the (row id, value) sequence of the reference.
+void ExpectStripeExact(const Dataset& data, const std::vector<size_t>& rows,
+                       size_t f, const uint32_t* slots,
+                       const double* values) {
+  const size_t m = rows.size();
+  std::vector<int> seen(m, 0);
+  StripeSeq seq;
+  for (size_t k = 0; k < m; ++k) {
+    ASSERT_LT(slots[k], m);
+    ++seen[slots[k]];
+    const size_t row = rows[slots[k]];
+    ASSERT_EQ(Bits(values[k]), Bits(data.At(row, f)));
+    seq.emplace_back(row, Bits(values[k]));
+  }
+  for (size_t s = 0; s < m; ++s) ASSERT_EQ(seen[s], 1) << "slot " << s;
+  EXPECT_EQ(seq, ReferenceStripe(data, rows, f)) << "feature " << f;
+}
+
+TEST(FeatureOrderTest, ExpandedStripesMatchPerSampleSort) {
+  const Dataset data = PathologicalData(97, 3, /*seed=*/21);
+  const size_t n = data.num_rows();
+  const size_t d = data.num_features();
+  Rng rng(5);
+  std::vector<std::vector<size_t>> samples;
+  samples.push_back({42});  // m = 1.
+  std::vector<size_t> all(n);
+  for (size_t r = 0; r < n; ++r) all[r] = r;
+  samples.push_back(all);  // m = n, identity.
+  std::vector<size_t> reversed(all.rbegin(), all.rend());
+  samples.push_back(reversed);  // m = n, every row once, shuffled slots.
+  for (int t = 0; t < 4; ++t) {
+    std::vector<size_t> bootstrap(n);  // m = n with duplicates.
+    for (size_t& r : bootstrap) r = rng.NextBounded(n);
+    samples.push_back(bootstrap);
+  }
+  std::vector<size_t> heavy(3 * n);  // Few rows, many copies each.
+  for (size_t& r : heavy) r = rng.NextBounded(5) * 7;
+  samples.push_back(heavy);
+
+  Arena arena(/*block_bytes=*/4096);
+  const FeatureOrder order(data, &arena);
+  ASSERT_EQ(order.num_rows(), n);
+  ASSERT_EQ(order.num_features(), d);
+  // The shared order itself is the identity sample's stripes.
+  for (size_t f = 0; f < d; ++f) {
+    ExpectStripeExact(data, all, f, order.rows(f), order.values(f));
+  }
+  for (const std::vector<size_t>& rows : samples) {
+    ArenaScope scope(&arena);
+    const size_t m = rows.size();
+    uint32_t* spos = arena.AllocArray<uint32_t>(d * m);
+    double* sval = arena.AllocArray<double>(d * m);
+    ExpandFeatureOrder(order, rows, &arena, spos, sval);
+    for (size_t f = 0; f < d; ++f) {
+      ExpectStripeExact(data, rows, f, spos + f * m, sval + f * m);
+    }
+  }
+}
+
+TEST(FeatureOrderTest, GbRoundPresortMatchesPerSampleSort) {
+  const Dataset data = PathologicalData(83, 2, /*seed=*/8);
+  const size_t n = data.num_rows();
+  Arena arena(/*block_bytes=*/4096);
+  const FeatureOrder order(data, &arena);
+  Rng rng(3);
+  for (double subsample : {0.3, 0.7, 1.0}) {
+    // Same row-set rule as GradientBoosting::Fit: ascending, distinct.
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < n; ++r) {
+      if (subsample >= 1.0 || rng.NextBool(subsample)) rows.push_back(r);
+    }
+    ArenaScope scope(&arena);
+    const GbRoundPresort presort(order, rows, &arena);
+    ASSERT_EQ(presort.num_rows(), rows.size());
+    ASSERT_EQ(presort.num_features(), data.num_features());
+    for (size_t s = 0; s < rows.size(); ++s) {
+      ASSERT_EQ(presort.row_ids()[s], rows[s]);
+    }
+    for (size_t f = 0; f < data.num_features(); ++f) {
+      ExpectStripeExact(data, rows, f, presort.slots(f), presort.values(f));
+    }
+  }
+}
+
+TEST(FeatureOrderTest, NaNFreeOrderIsValueThenRowId) {
+  // Without NaN the contract is the plain (value, row id) order — the
+  // order std::sort on (value, row) pairs gives the reference builders.
+  const Dataset data = TestData(64, 5, 2, /*seed=*/17);
+  Arena arena;
+  const FeatureOrder order(data, &arena);
+  for (size_t f = 0; f < data.num_features(); ++f) {
+    std::vector<std::pair<double, size_t>> pairs;
+    for (size_t r = 0; r < data.num_rows(); ++r) {
+      pairs.emplace_back(data.At(r, f), r);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(order.rows(f)[i], pairs[i].second);
+      EXPECT_EQ(Bits(order.values(f)[i]), Bits(pairs[i].first));
+    }
+  }
+}
+
+// --- Pathological inputs fit cleanly ---------------------------------
+
+TEST(PathologicalInputTest, TreeModelsFitAndPredictValidProbabilities) {
+  KernelsToggleGuard guard;
+  SetKernelsEnabled(true);
+  const Dataset data = PathologicalData(150, 3, /*seed=*/4);
+  EnergyModel model(MachineModel::Minimal());
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+
+  GradientBoostingParams stochastic;
+  stochastic.subsample = 0.6;
+  std::vector<std::unique_ptr<Estimator>> models;
+  models.push_back(std::make_unique<RandomForest>(RandomForestParams{}));
+  models.push_back(std::make_unique<AdaBoost>(AdaBoostParams{}));
+  models.push_back(
+      std::make_unique<GradientBoosting>(GradientBoostingParams{}));
+  models.push_back(std::make_unique<GradientBoosting>(stochastic));
+  models.push_back(std::make_unique<DecisionTree>(DecisionTreeParams{}));
+  for (const auto& estimator : models) {
+    SCOPED_TRACE(estimator->Name());
+    const Status fit = estimator->Fit(data, &ctx);
+    ASSERT_TRUE(fit.ok()) << fit.ToString();
+    auto proba = estimator->PredictProba(data, &ctx);
+    ASSERT_TRUE(proba.ok()) << proba.status().ToString();
+    ASSERT_EQ(proba->size(), data.num_rows());
+    for (const std::vector<double>& row : *proba) {
+      ASSERT_EQ(row.size(), 3u);
+      double sum = 0.0;
+      for (double p : row) {
+        ASSERT_TRUE(std::isfinite(p));
+        ASSERT_GE(p, 0.0);
+        sum += p;
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-9);
+    }
+  }
 }
 
 }  // namespace
