@@ -21,6 +21,7 @@
 #include "green/ml/models/adaboost.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
+#include "green/ml/models/extra_trees.h"
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/random_forest.h"
@@ -93,6 +94,21 @@ void BM_AdaBoostFit(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_AdaBoostFit)->Arg(200)->Arg(800);
+
+// Extremely randomized trees: every tree sees all rows, each split draws
+// one random threshold per candidate feature. Arg = training rows.
+void BM_ExtraTreesFit(benchmark::State& state) {
+  const Dataset data =
+      BenchData(static_cast<size_t>(state.range(0)), 16, 3);
+  Ctx c;
+  for (auto _ : state) {
+    ExtraTrees model{ExtraTreesParams{}};
+    benchmark::DoNotOptimize(model.Fit(data, &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_ExtraTreesFit)->Arg(200)->Arg(800);
 
 void BM_RandomForestPredict(benchmark::State& state) {
   const Dataset data = BenchData(400, 16, 3);

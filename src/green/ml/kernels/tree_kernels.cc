@@ -180,7 +180,9 @@ void InitWorkspace(const Dataset& train, const std::vector<size_t>& rows,
 }
 
 /// Stable-partitions the node-order slot list [lo, hi) by per-slot flag
-/// (1 = left). Returns the left-block size.
+/// (1 = left). Returns the left-block size. Branch-free: every slot is
+/// written to both the in-place left cursor and the right scratch
+/// cursor, and only the cursor its flag selects advances.
 size_t PartitionNodeOrder(TreeWorkspace* ws, size_t lo, size_t hi) {
   uint32_t* ns = ws->nslot + lo;
   const size_t len = hi - lo;
@@ -188,39 +190,42 @@ size_t PartitionNodeOrder(TreeWorkspace* ws, size_t lo, size_t hi) {
   size_t nr = 0;
   for (size_t i = 0; i < len; ++i) {
     const uint32_t slot = ns[i];
-    if (ws->flag[slot]) {
-      ns[nl++] = slot;
-    } else {
-      ws->uscratch[nr++] = slot;
-    }
+    const size_t left = ws->flag[slot];
+    ns[nl] = slot;
+    ws->uscratch[nr] = slot;
+    nl += left;
+    nr += 1 - left;
   }
   std::memcpy(ns + nl, ws->uscratch, nr * sizeof(uint32_t));
   return nl;
 }
 
 /// Stable-partitions every presorted stripe's [lo, hi) subrange by the
-/// per-slot flags. Left-compaction writes in place (the write index
-/// never passes the read index); the right side stages through scratch.
-/// A sorted subsequence filtered stably stays sorted, so each child
-/// stripe needs no re-sort.
-void PartitionStripes(TreeWorkspace* ws, size_t lo, size_t hi) {
+/// per-slot flags, with PartitionNodeOrder's branch-free double write.
+/// Left-compaction writes in place (the left cursor never passes the
+/// read index); the right side stages through scratch. A sorted
+/// subsequence filtered stably stays sorted, so each child stripe needs
+/// no re-sort. Stripe `split_feature` is skipped: its left block is
+/// already its prefix.
+void PartitionStripes(TreeWorkspace* ws, size_t lo, size_t hi,
+                      size_t split_feature) {
   const size_t len = hi - lo;
   for (size_t f = 0; f < ws->d; ++f) {
+    if (f == split_feature) continue;
     uint32_t* sp = ws->spos + f * ws->m + lo;
     double* sv = ws->sval + f * ws->m + lo;
     size_t nl = 0;
     size_t nr = 0;
     for (size_t i = 0; i < len; ++i) {
       const uint32_t slot = sp[i];
-      if (ws->flag[slot]) {
-        sp[nl] = slot;
-        sv[nl] = sv[i];
-        ++nl;
-      } else {
-        ws->uscratch[nr] = slot;
-        ws->dscratch[nr] = sv[i];
-        ++nr;
-      }
+      const double v = sv[i];
+      const size_t left = ws->flag[slot];
+      sp[nl] = slot;
+      sv[nl] = v;
+      ws->uscratch[nr] = slot;
+      ws->dscratch[nr] = v;
+      nl += left;
+      nr += 1 - left;
     }
     std::memcpy(sp + nl, ws->uscratch, nr * sizeof(uint32_t));
     std::memcpy(sv + nl, ws->dscratch, nr * sizeof(double));
@@ -238,6 +243,7 @@ struct TreeBuilder {
 
   // Reused per-node scratch (consumed before recursing).
   std::vector<double> counts;
+  std::vector<uint32_t> left_tally;  ///< Integer left-side class counts.
   std::vector<double> left_counts;
   std::vector<double> right_counts;
   std::vector<size_t> features;
@@ -294,7 +300,7 @@ struct TreeBuilder {
     for (size_t i = lo; i < hi; ++i) {
       ws.flag[spb[i]] = i < lo + nl ? 1 : 0;
     }
-    PartitionStripes(&ws, lo, hi);
+    PartitionStripes(&ws, lo, hi, best_feature);
     PartitionNodeOrder(&ws, lo, hi);
     return nl;
   }
@@ -355,6 +361,7 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_score = node_gini;  // Must strictly improve.
+  left_tally.resize(kk);
   left_counts.resize(kk);
 
   for (size_t f : features) {
@@ -366,15 +373,18 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
       *flops += n;
       if (hiv - lov <= 1e-12) continue;
       const double thr = rng->NextUniform(lov, hiv);
-      std::fill(left_counts.begin(), left_counts.end(), 0.0);
-      double n_left = 0.0;
+      std::fill(left_tally.begin(), left_tally.end(), 0u);
+      size_t left_n = 0;
       for (size_t i = 0; i < len; ++i) {
-        if (ws.vals[i] <= thr) {
-          left_counts[static_cast<size_t>(ws.nlab[i])] += 1.0;
-          n_left += 1.0;
-        }
+        const uint32_t le = ws.vals[i] <= thr;
+        left_tally[static_cast<size_t>(ws.nlab[i])] += le;
+        left_n += le;
       }
       *flops += n;
+      for (size_t c = 0; c < kk; ++c) {
+        left_counts[c] = static_cast<double>(left_tally[c]);
+      }
+      const double n_left = static_cast<double>(left_n);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
         continue;
@@ -421,12 +431,11 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
     const double* sv = ws.sval + f * ws.m;
     *flops += n * std::log2(std::max(2.0, n));
 
-    std::fill(left_counts.begin(), left_counts.end(), 0.0);
-    double n_left = 0.0;
+    std::fill(left_tally.begin(), left_tally.end(), 0u);
     for (size_t i = lo; i + 1 < hi; ++i) {
-      left_counts[static_cast<size_t>(ws.lab[sp[i]])] += 1.0;
-      n_left += 1.0;
+      ++left_tally[static_cast<size_t>(ws.lab[sp[i]])];
       if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      const double n_left = static_cast<double>(i + 1 - lo);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
         continue;
@@ -434,8 +443,9 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
       double right_gini = 1.0;
       double left_gini = 1.0;
       for (size_t c = 0; c < kk; ++c) {
-        const double pl = left_counts[c] / n_left;
-        const double pr = (counts[c] - left_counts[c]) / n_right;
+        const double lc = static_cast<double>(left_tally[c]);
+        const double pl = lc / n_left;
+        const double pr = (counts[c] - lc) / n_right;
         left_gini -= pl * pl;
         right_gini -= pr * pr;
       }
@@ -517,16 +527,18 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
       const double thr = rng->NextUniform(lov, hiv);
       double left_sum = 0.0;
       double left_sumsq = 0.0;
-      double n_left = 0.0;
+      size_t left_n = 0;
       for (size_t i = 0; i < len; ++i) {
-        if (ws.vals[i] <= thr) {
-          const double y = ws.ntgt[i];
-          left_sum += y;
-          left_sumsq += y * y;
-          n_left += 1.0;
-        }
+        // A right-side row adds +0.0, which is exact: the sums start at
+        // +0.0 and so can never become -0.0.
+        const bool le = ws.vals[i] <= thr;
+        const double y = le ? ws.ntgt[i] : 0.0;
+        left_sum += y;
+        left_sumsq += y * y;
+        left_n += le;
       }
       *flops += 2.0 * n;
+      const double n_left = static_cast<double>(left_n);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
         continue;
@@ -549,13 +561,12 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
 
     double left_sum = 0.0;
     double left_sumsq = 0.0;
-    double n_left = 0.0;
     for (size_t i = lo; i + 1 < hi; ++i) {
       const double y = ws.tgt[sp[i]];
       left_sum += y;
       left_sumsq += y * y;
-      n_left += 1.0;
       if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      const double n_left = static_cast<double>(i + 1 - lo);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
         continue;
@@ -614,11 +625,10 @@ int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
       const double* sv = ws.sval + f * ws.m;
       *flops += n * std::log2(std::max(2.0, n));
       double left_sum = 0.0;
-      double left_n = 0.0;
       for (size_t i = lo; i + 1 < hi; ++i) {
         left_sum += ws.tgt[sp[i]];
-        left_n += 1.0;
         if (sv[i + 1] - sv[i] <= 1e-12) continue;
+        const double left_n = static_cast<double>(i + 1 - lo);
         const double right_n = n - left_n;
         if (left_n < p.min_samples_leaf || right_n < p.min_samples_leaf) {
           continue;
@@ -692,7 +702,10 @@ void ExpandFeatureOrder(const FeatureOrder& order,
   for (size_t r = 0; r < n; ++r) start[r + 1] += start[r];
   uint32_t* cursor = arena->AllocArray<uint32_t>(n);
   std::memcpy(cursor, start, n * sizeof(uint32_t));
-  uint32_t* by_row = arena->AllocArray<uint32_t>(m);
+  // Two zeroed pad entries: the unconditional two-slot read below may
+  // look up to start[r] + 1 <= m + 1.
+  uint32_t* by_row = arena->AllocArray<uint32_t>(m + 2);
+  by_row[m] = by_row[m + 1] = 0;
   for (size_t s = 0; s < m; ++s) {
     by_row[cursor[rows[s]]++] = static_cast<uint32_t>(s);
   }
@@ -704,12 +717,32 @@ void ExpandFeatureOrder(const FeatureOrder& order,
     uint32_t* sp = spos + f * m;
     double* sv = sval + f * m;
     size_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
+    size_t i = 0;
+    // Bootstrap copy counts are mostly 0, 1 or 2: write two slots
+    // unconditionally and advance by the row's count; only rows with
+    // more copies loop. A slot written past the count holds junk until
+    // a later row overwrites it, so this runs only while k + 2 <= m.
+    for (; k + 2 <= m; ++i) {
       const uint32_t r = fr[i];
       const double v = fv[i];
+      const uint32_t j = start[r];
+      const uint32_t copies = start[r + 1] - j;
+      sp[k] = by_row[j];
+      sp[k + 1] = by_row[j + 1];
+      sv[k] = v;
+      sv[k + 1] = v;
+      for (uint32_t c = 2; c < copies; ++c) {
+        sp[k + c] = by_row[j + c];
+        sv[k + c] = v;
+      }
+      k += copies;
+    }
+    // The last slot or two, exactly.
+    for (; k < m; ++i) {
+      const uint32_t r = fr[i];
       for (uint32_t j = start[r], end = start[r + 1]; j < end; ++j) {
         sp[k] = by_row[j];
-        sv[k] = v;
+        sv[k] = fv[i];
         ++k;
       }
     }

@@ -81,7 +81,8 @@ class FeatureOrder {
 /// order. The slots of one duplicated row come out adjacent and are
 /// interchangeable, since they carry the same row. O(n + m) per feature
 /// via a row -> slots table on `arena` (inside a scope); a plain copy
-/// when `rows` is every row in order.
+/// when `rows` is every row in order. Writes exactly d x m cells of
+/// each output, never past them.
 void ExpandFeatureOrder(const FeatureOrder& order,
                         const std::vector<size_t>& rows, Arena* arena,
                         uint32_t* spos, double* sval);
