@@ -25,6 +25,7 @@
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/random_forest.h"
+#include "green/ml/transform_cache.h"
 #include "green/search/caruana.h"
 #include "green/search/rf_surrogate.h"
 #include "green/table/split.h"
@@ -79,6 +80,29 @@ void BM_RandomForestFit(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_RandomForestFit)->Arg(200)->Arg(800);
+
+// A search refitting forests on one transformed training set: 8 seeds
+// through a ctx carrying a fresh TransformCache, so the first fit builds
+// the presort and the other 7 take it from the memo. Arg = training rows.
+void BM_RandomForestRefit(benchmark::State& state) {
+  const Dataset data =
+      BenchData(static_cast<size_t>(state.range(0)), 16, 3);
+  Ctx c;
+  for (auto _ : state) {
+    TransformCache cache(size_t{256} << 20);
+    c.ctx.SetTransformCache(&cache);
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      RandomForestParams params;
+      params.seed = seed;
+      RandomForest forest(params);
+      benchmark::DoNotOptimize(forest.Fit(data, &c.ctx));
+    }
+    c.ctx.SetTransformCache(nullptr);
+  }
+  state.SetItemsProcessed(state.iterations() * 8 *
+                          static_cast<int64_t>(data.num_rows()));
+}
+BENCHMARK(BM_RandomForestRefit)->Arg(200)->Arg(800);
 
 // SAMME rounds of shallow trees on weighted bootstrap samples of the
 // same training set. Arg = training rows.

@@ -180,7 +180,7 @@ std::string RenderFailureSummary(
 std::string RenderTransformCacheStats(const TransformCacheStats& stats,
                                       double budget_mb) {
   if (stats.hits + stats.misses + stats.predict_hits +
-          stats.predict_misses ==
+          stats.predict_misses + stats.order_hits + stats.order_misses ==
       0) {
     return std::string();
   }
@@ -202,12 +202,22 @@ std::string RenderTransformCacheStats(const TransformCacheStats& stats,
        StrFormat("%llu",
                  static_cast<unsigned long long>(stats.predict_misses)),
        StrFormat("%.1f%%", rate(stats.predict_hits, stats.predict_misses))});
+  table.AddRow(
+      {"presort",
+       StrFormat("%llu", static_cast<unsigned long long>(stats.order_hits)),
+       StrFormat("%llu", static_cast<unsigned long long>(stats.order_misses)),
+       StrFormat("%.1f%%", rate(stats.order_hits, stats.order_misses))});
   std::string out = table.Render();
   out += StrFormat(
       "transform cache  : %zu entries, %.1f MB of %.0f MB, %llu "
       "eviction(s)\n",
       stats.entries, static_cast<double>(stats.bytes) / (1024.0 * 1024.0),
       budget_mb, static_cast<unsigned long long>(stats.evictions));
+  out += StrFormat(
+      "presort memo     : %.2f MB of %.2f MB, %llu eviction(s)\n",
+      static_cast<double>(stats.order_bytes) / (1024.0 * 1024.0),
+      budget_mb / 128.0,
+      static_cast<unsigned long long>(stats.order_evictions));
   return out;
 }
 

@@ -922,14 +922,19 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
     LogInfo(StrFormat(
         "transform cache: %llu hit(s), %llu miss(es), %llu predict hit(s), "
         "%llu predict miss(es), %llu eviction(s), "
-        "%zu entries (%.1f MB of %.0f MB)",
+        "%zu entries (%.1f MB of %.0f MB); presort memo: %llu hit(s), "
+        "%llu miss(es), %llu eviction(s), %.2f MB",
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.misses),
         static_cast<unsigned long long>(cache.predict_hits),
         static_cast<unsigned long long>(cache.predict_misses),
         static_cast<unsigned long long>(cache.evictions), cache.entries,
         static_cast<double>(cache.bytes) / (1024.0 * 1024.0),
-        config_.transform_cache_mb));
+        config_.transform_cache_mb,
+        static_cast<unsigned long long>(cache.order_hits),
+        static_cast<unsigned long long>(cache.order_misses),
+        static_cast<unsigned long long>(cache.order_evictions),
+        static_cast<double>(cache.order_bytes) / (1024.0 * 1024.0)));
   }
   return records;
 }

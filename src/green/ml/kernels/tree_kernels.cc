@@ -16,7 +16,10 @@
 // sums are NOT, so node-order slot lists are carried down the recursion
 // alongside the presorted per-feature lists. Work (`*flops`) is charged
 // from logical dimensions at the same program points as the reference,
-// never from what the kernel actually executes.
+// never from what the kernel actually executes. The exact Gini scan also
+// screens candidates without dividing (GiniScreenSkips); it skips only
+// candidates the reference comparison provably rejects, so the chosen
+// splits do not change.
 
 namespace green {
 
@@ -243,6 +246,7 @@ struct TreeBuilder {
 
   // Reused per-node scratch (consumed before recursing).
   std::vector<double> counts;
+  std::vector<uint32_t> node_tally;  ///< Integer node class counts.
   std::vector<uint32_t> left_tally;  ///< Integer left-side class counts.
   std::vector<double> left_counts;
   std::vector<double> right_counts;
@@ -330,9 +334,17 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
   const double n = static_cast<double>(len);
   const size_t kk = static_cast<size_t>(num_classes);
 
-  counts.assign(kk, 0.0);
+  // Integer tallies convert to exactly the doubles repeated `+= 1.0`
+  // reaches (counts < 2^53).
+  node_tally.assign(kk, 0u);
   for (size_t i = lo; i < hi; ++i) {
-    counts[static_cast<size_t>(ws.lab[ws.nslot[i]])] += 1.0;
+    ++node_tally[static_cast<size_t>(ws.lab[ws.nslot[i]])];
+  }
+  counts.resize(kk);
+  uint64_t node_sq = 0;
+  for (size_t c = 0; c < kk; ++c) {
+    counts[c] = static_cast<double>(node_tally[c]);
+    node_sq += uint64_t{node_tally[c]} * node_tally[c];
   }
   const double node_gini = Gini(counts, n);
   *flops += n;
@@ -431,29 +443,34 @@ int TreeBuilder::BuildClsNode(int num_classes, size_t lo, size_t hi,
     const double* sv = ws.sval + f * ws.m;
     *flops += n * std::log2(std::max(2.0, n));
 
+    // Exact sums of squared class counts on each side, updated in O(1)
+    // per row, feed the division-free screen: a candidate it rejects
+    // provably cannot beat best_score (bound at GiniScreenSkips), so only
+    // the survivors pay the k-class division loop.
     std::fill(left_tally.begin(), left_tally.end(), 0u);
+    uint64_t sq_left = 0;
+    uint64_t sq_right = node_sq;
     for (size_t i = lo; i + 1 < hi; ++i) {
-      ++left_tally[static_cast<size_t>(ws.lab[sp[i]])];
-      if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      const size_t c = static_cast<size_t>(ws.lab[sp[i]]);
+      const uint64_t lc = left_tally[c]++;
+      sq_left += 2 * lc + 1;
+      sq_right -= 2 * (node_tally[c] - lc) - 1;
+      if (SkipSplitGap(sv[i], sv[i + 1])) continue;
       const double n_left = static_cast<double>(i + 1 - lo);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
         continue;
       }
-      double right_gini = 1.0;
-      double left_gini = 1.0;
-      for (size_t c = 0; c < kk; ++c) {
-        const double lc = static_cast<double>(left_tally[c]);
-        const double pl = lc / n_left;
-        const double pr = (counts[c] - lc) / n_right;
-        left_gini -= pl * pl;
-        right_gini -= pr * pr;
+      if (GiniScreenSkips(sq_left, sq_right, n_left, n_right, n,
+                          best_score)) {
+        continue;
       }
-      const double score = (n_left * left_gini + n_right * right_gini) / n;
+      const double score = ExactGiniScore(left_tally.data(), counts.data(),
+                                          kk, n_left, n_right, n);
       if (score < best_score - 1e-12) {
         best_score = score;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sv[i] + sv[i + 1]);
+        best_threshold = SplitThreshold(sv[i], sv[i + 1]);
       }
     }
     *flops += n * static_cast<double>(kk);
@@ -565,7 +582,7 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
       const double y = ws.tgt[sp[i]];
       left_sum += y;
       left_sumsq += y * y;
-      if (sv[i + 1] - sv[i] <= 1e-12) continue;
+      if (SkipSplitGap(sv[i], sv[i + 1])) continue;
       const double n_left = static_cast<double>(i + 1 - lo);
       const double n_right = n - n_left;
       if (n_left < p.min_samples_leaf || n_right < p.min_samples_leaf) {
@@ -578,7 +595,7 @@ int TreeBuilder::BuildRegNode(size_t lo, size_t hi, int depth) {
       if (sse < best_sse - 1e-12) {
         best_sse = sse;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sv[i] + sv[i + 1]);
+        best_threshold = SplitThreshold(sv[i], sv[i + 1]);
       }
     }
     *flops += 4.0 * n;
@@ -627,7 +644,7 @@ int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
       double left_sum = 0.0;
       for (size_t i = lo; i + 1 < hi; ++i) {
         left_sum += ws.tgt[sp[i]];
-        if (sv[i + 1] - sv[i] <= 1e-12) continue;
+        if (SkipSplitGap(sv[i], sv[i + 1])) continue;
         const double left_n = static_cast<double>(i + 1 - lo);
         const double right_n = n - left_n;
         if (left_n < p.min_samples_leaf || right_n < p.min_samples_leaf) {
@@ -641,7 +658,7 @@ int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (sv[i] + sv[i + 1]);
+          best_threshold = SplitThreshold(sv[i], sv[i + 1]);
         }
       }
       *flops += n;
@@ -662,23 +679,20 @@ int TreeBuilder::BuildGbNode(size_t lo, size_t hi, int depth) {
 
 }  // namespace
 
-FeatureOrder::FeatureOrder(const Dataset& train, Arena* arena) {
-  n_ = train.num_rows();
-  d_ = train.num_features();
-  uint32_t* rid = arena->AllocArray<uint32_t>(d_ * n_);
-  double* val = arena->AllocArray<double>(d_ * n_);
-  {
-    // The column gather only feeds the presort; reclaim it.
-    ArenaScope gather_scope(arena);
-    double* colT = arena->AllocArray<double>(d_ * n_);
-    for (size_t r = 0; r < n_; ++r) {
-      const double* row = train.RowPtr(r);
-      for (size_t f = 0; f < d_; ++f) colT[f * n_ + r] = row[f];
-    }
-    PresortStripes(colT, n_, d_, rid, val);
+FeatureOrder::FeatureOrder(const Dataset& train)
+    : n_(train.num_rows()),
+      d_(train.num_features()),
+      rid_(std::make_unique_for_overwrite<uint32_t[]>(d_ * n_)),
+      val_(std::make_unique_for_overwrite<double[]>(d_ * n_)) {
+  // The column gather only feeds the presort; reclaim it.
+  Arena* arena = ScratchArena();
+  ArenaScope gather_scope(arena);
+  double* colT = arena->AllocArray<double>(d_ * n_);
+  for (size_t r = 0; r < n_; ++r) {
+    const double* row = train.RowPtr(r);
+    for (size_t f = 0; f < d_; ++f) colT[f * n_ + r] = row[f];
   }
-  rid_ = rid;
-  val_ = val;
+  PresortStripes(colT, n_, d_, rid_.get(), val_.get());
 }
 
 void ExpandFeatureOrder(const FeatureOrder& order,

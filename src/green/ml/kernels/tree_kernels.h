@@ -1,7 +1,9 @@
 #ifndef GREEN_ML_KERNELS_TREE_KERNELS_H_
 #define GREEN_ML_KERNELS_TREE_KERNELS_H_
 
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "green/common/arena.h"
@@ -45,35 +47,104 @@ class TreeNodeSink {
                         int right) = 0;
 };
 
-/// One fit's shared presort: every row of the training Dataset argsorted
-/// per feature, stored as d x n row ids plus the values in that order.
-/// The fit (DecisionTree, RandomForest, AdaBoost, GradientBoosting) builds
-/// it once and hands it to every tree it grows; each tree then derives its
-/// own slot stripes with an O(n + m) counting pass instead of sorting.
+/// A training set's presort: every row argsorted per feature, stored as
+/// d x n row ids plus the values in that order. A fit (DecisionTree,
+/// RandomForest, AdaBoost, GradientBoosting) obtains it once through
+/// DecisionTree::PresortFor and hands it to every tree it grows; each
+/// tree then derives its own slot stripes with an O(n + m) counting pass
+/// instead of sorting. Immutable once built, so fits on other threads may
+/// share one instance (TransformCache's presort memo does).
 ///
 /// Ordering contract, per feature: ascending value, ties broken by row
 /// id. NaN sorts after every number (NaNs among themselves by row id);
 /// -0.0 and +0.0 compare equal and so fall back to row id. For NaN-free
 /// columns this is exactly the order std::sort on (value, row) pairs
-/// gives. The arrays borrow d * n * 12 bytes of `arena`; keep the
-/// surrounding ArenaScope open for this object's lifetime.
+/// gives. The object owns its d * n * 12 bytes; the build's column
+/// gather borrows the calling thread's ScratchArena() only while the
+/// constructor runs.
 class FeatureOrder {
  public:
-  FeatureOrder(const Dataset& train, Arena* arena);
+  explicit FeatureOrder(const Dataset& train);
 
   size_t num_rows() const { return n_; }
   size_t num_features() const { return d_; }
   /// Row ids of feature `f` in sorted order (num_rows() entries).
-  const uint32_t* rows(size_t f) const { return rid_ + f * n_; }
+  const uint32_t* rows(size_t f) const { return rid_.get() + f * n_; }
   /// Feature `f`'s values in the same order.
-  const double* values(size_t f) const { return val_ + f * n_; }
+  const double* values(size_t f) const { return val_.get() + f * n_; }
+  /// Bytes held by the two arrays.
+  size_t bytes() const {
+    return d_ * n_ * (sizeof(uint32_t) + sizeof(double));
+  }
 
  private:
   size_t n_ = 0;
   size_t d_ = 0;
-  const uint32_t* rid_ = nullptr;
-  const double* val_ = nullptr;
+  std::unique_ptr<uint32_t[]> rid_;
+  std::unique_ptr<double[]> val_;
 };
+
+/// The exact scans' candidate rule between adjacent sorted values
+/// `a` <= `b`: no split where the gap is at most 1e-12, nor where the two
+/// values are equal (two equal infinities differ by NaN, not by 0). A
+/// number followed by NaN (a NaN gap) stays a candidate.
+inline bool SkipSplitGap(double a, double b) {
+  return b == a || b - a <= 1e-12;
+}
+
+/// The threshold of an exact-scan split between adjacent sorted values
+/// `a` < `b`: their midpoint, or `a` itself where the midpoint is not
+/// finite although `b` is a number (an infinite endpoint, or 1e308-scale
+/// values whose sum overflows). `v <= a` still routes `a` left and `b`
+/// right; the midpoint would route every row to one side. A NaN `b`
+/// keeps its NaN midpoint.
+inline double SplitThreshold(double a, double b) {
+  const double mid = 0.5 * (a + b);
+  return std::isfinite(mid) || std::isnan(b) ? mid : a;
+}
+
+/// Gini score of one exact-scan candidate, with the scan's arithmetic:
+/// `left_tally` holds the left side's integer class counts, `counts` the
+/// node's, over `k` classes.
+inline double ExactGiniScore(const uint32_t* left_tally,
+                             const double* counts, size_t k, double n_left,
+                             double n_right, double n) {
+  double right_gini = 1.0;
+  double left_gini = 1.0;
+  for (size_t c = 0; c < k; ++c) {
+    const double lc = static_cast<double>(left_tally[c]);
+    const double pl = lc / n_left;
+    const double pr = (counts[c] - lc) / n_right;
+    left_gini -= pl * pl;
+    right_gini -= pr * pr;
+  }
+  return (n_left * left_gini + n_right * right_gini) / n;
+}
+
+/// Division-free screen of an exact-scan Gini candidate: true when the
+/// candidate provably cannot pass `ExactGiniScore(...) < best_score -
+/// 1e-12`, so the scan may skip scoring it. `sq_left` = sum of squared
+/// left class counts, `sq_right` the same on the right.
+///
+/// Why it is safe. In real arithmetic the score is
+///   S = 1 - (sq_left / n_left + sq_right / n_right) / n,
+/// so the screen skips exactly when S >= T + 1e-9 with
+/// T = fl(best_score - 1e-12), up to its own rounding: the int -> double
+/// conversions and five products and sums of non-negative terms, a few
+/// ulps relative, i.e. at most about 16 * 2^-53 of S. The float score
+/// ExactGiniScore computes differs from S by at most about
+/// (3k + 6) * 2^-53 (k divisions, squares and subtractions per side, two
+/// products, a sum and a division). A skipped candidate's float score is
+/// therefore at least T + 1e-9 - (3k + 22) * 2^-53 > T for every k below
+/// about 3e6 classes, so the reference comparison would have rejected it.
+/// Candidates the screen passes are scored exactly as before.
+inline bool GiniScreenSkips(uint64_t sq_left, uint64_t sq_right,
+                            double n_left, double n_right, double n,
+                            double best_score) {
+  return static_cast<double>(sq_left) * n_right +
+             static_cast<double>(sq_right) * n_left <=
+         (1.0 - (best_score - 1e-12) - 1e-9) * n * n_left * n_right;
+}
 
 /// Expands `order` to the slot stripes of the row sample `rows`
 /// (duplicates allowed): writes d x m slots (positions in `rows`) and

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <memory>
 
-#include "green/common/arena.h"
 #include "green/common/mathutil.h"
 #include "green/common/rng.h"
 
@@ -31,9 +30,8 @@ Status AdaBoost::Fit(const Dataset& train, ExecutionContext* ctx) {
   tree_params.min_samples_leaf = 2;
   // One presort for every round; each round expands its weighted
   // bootstrap sample from it.
-  ArenaScope fit_scope(ScratchArena());
-  const std::optional<FeatureOrder> order =
-      DecisionTree::PresortFor(train, tree_params, ScratchArena());
+  const std::shared_ptr<const FeatureOrder> order =
+      DecisionTree::PresortFor(train, tree_params, ctx);
 
   for (int round = 0; round < params_.num_rounds; ++round) {
     if (ctx->Interrupted()) {
@@ -61,7 +59,8 @@ Status AdaBoost::Fit(const Dataset& train, ExecutionContext* ctx) {
     tree_params.seed = tree_rng.NextUint64();
     Stage stage(tree_params);
     GREEN_RETURN_IF_ERROR(
-        stage.tree.FitCounted(train, sample, order, &tree_rng, &flops));
+        stage.tree.FitCounted(train, sample, order.get(), &tree_rng,
+                              &flops));
 
     // Weighted training error of the stage.
     ProbaMatrix proba;

@@ -5,10 +5,11 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <optional>
 
+#include "green/common/arena.h"
 #include "green/common/logging.h"
 #include "green/ml/kernels/kernels.h"
+#include "green/ml/transform_cache.h"
 
 namespace green {
 
@@ -94,10 +95,9 @@ Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
   std::iota(all.begin(), all.end(), 0);
   Rng rng(params_.seed);
   double flops = 0.0;
-  ArenaScope fit_scope(ScratchArena());
-  const std::optional<FeatureOrder> order =
-      PresortFor(train, params_, ScratchArena());
-  GREEN_RETURN_IF_ERROR(FitCounted(train, all, order, &rng, &flops));
+  const std::shared_ptr<const FeatureOrder> order =
+      PresortFor(train, params_, ctx);
+  GREEN_RETURN_IF_ERROR(FitCounted(train, all, order.get(), &rng, &flops));
   // Single-tree induction is mostly sequential (node-by-node greedy).
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.3);
   if (ctx->Interrupted()) {
@@ -106,20 +106,23 @@ Status DecisionTree::Fit(const Dataset& train, ExecutionContext* ctx) {
   return Status::Ok();
 }
 
-std::optional<FeatureOrder> DecisionTree::PresortFor(
-    const Dataset& train, const DecisionTreeParams& params, Arena* arena) {
+std::shared_ptr<const FeatureOrder> DecisionTree::PresortFor(
+    const Dataset& train, const DecisionTreeParams& params,
+    ExecutionContext* ctx) {
   if (!UseTreeKernels(train) ||
       !UsesFeatureOrder(KernelParams(params),
                         train.task() == TaskType::kRegression)) {
-    return std::nullopt;
+    return nullptr;
   }
-  return FeatureOrder(train, arena);
+  TransformCache* cache = ctx != nullptr ? ctx->transform_cache() : nullptr;
+  if (cache != nullptr) return cache->FeatureOrderFor(train);
+  return std::make_shared<const FeatureOrder>(train);
 }
 
 Status DecisionTree::FitCounted(const Dataset& train,
                                 const std::vector<size_t>& row_indices,
-                                const std::optional<FeatureOrder>& order,
-                                Rng* rng, double* flops) {
+                                const FeatureOrder* order, Rng* rng,
+                                double* flops) {
   if (train.num_rows() == 0 || row_indices.empty()) {
     return Status::InvalidArgument("decision_tree: empty training data");
   }
@@ -133,13 +136,12 @@ Status DecisionTree::FitCounted(const Dataset& train,
       return Status::FailedPrecondition(
           "decision_tree: exact kernel build needs the fit's FeatureOrder");
     }
-    const FeatureOrder* shared = order ? &*order : nullptr;
     KernelSink sink(&nodes_);
     if (regression) {
-      KernelBuildRegTree(train, row_indices, shared, kp, rng, flops,
+      KernelBuildRegTree(train, row_indices, order, kp, rng, flops,
                          ScratchArena(), &sink);
     } else {
-      KernelBuildClsTree(train, row_indices, shared, kp, train.num_classes(),
+      KernelBuildClsTree(train, row_indices, order, kp, train.num_classes(),
                          rng, flops, ScratchArena(), &sink);
     }
   } else {
@@ -282,7 +284,7 @@ int DecisionTree::BuildRegNode(const Dataset& train,
       left_sum += y;
       left_sumsq += y * y;
       n_left += 1.0;
-      if (sorted[i + 1].first - sorted[i].first <= 1e-12) continue;
+      if (SkipSplitGap(sorted[i].first, sorted[i + 1].first)) continue;
       const double n_right = n - n_left;
       if (n_left < params_.min_samples_leaf ||
           n_right < params_.min_samples_leaf) {
@@ -295,7 +297,8 @@ int DecisionTree::BuildRegNode(const Dataset& train,
       if (sse < best_sse - 1e-12) {
         best_sse = sse;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+        best_threshold =
+            SplitThreshold(sorted[i].first, sorted[i + 1].first);
       }
     }
     *flops += 4.0 * n;
@@ -429,7 +432,7 @@ int DecisionTree::BuildNode(const Dataset& train, std::vector<size_t>* rows,
       const size_t r = sorted[i].second;
       left_counts[static_cast<size_t>(train.Label(r))] += 1.0;
       n_left += 1.0;
-      if (sorted[i + 1].first - sorted[i].first <= 1e-12) continue;
+      if (SkipSplitGap(sorted[i].first, sorted[i + 1].first)) continue;
       const double n_right = n - n_left;
       if (n_left < params_.min_samples_leaf ||
           n_right < params_.min_samples_leaf) {
@@ -447,7 +450,8 @@ int DecisionTree::BuildNode(const Dataset& train, std::vector<size_t>* rows,
       if (score < best_score - 1e-12) {
         best_score = score;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+        best_threshold =
+            SplitThreshold(sorted[i].first, sorted[i + 1].first);
       }
     }
     *flops += n * static_cast<double>(counts.size());

@@ -1,10 +1,9 @@
 #ifndef GREEN_ML_MODELS_DECISION_TREE_H_
 #define GREEN_ML_MODELS_DECISION_TREE_H_
 
-#include <optional>
+#include <memory>
 #include <vector>
 
-#include "green/common/arena.h"
 #include "green/common/rng.h"
 #include "green/ml/estimator.h"
 #include "green/ml/kernels/tree_kernels.h"
@@ -52,21 +51,22 @@ class DecisionTree : public Estimator {
   }
 
   /// The presort shared by every tree one fit grows on `train` with
-  /// `params`: a FeatureOrder on `arena` when those trees take the
-  /// kernel build's exact split search, nullopt otherwise (kernels off,
-  /// random thresholds, histogram scan). Keep the surrounding ArenaScope
-  /// open until the fit's last tree is built.
-  static std::optional<FeatureOrder> PresortFor(
-      const Dataset& train, const DecisionTreeParams& params, Arena* arena);
+  /// `params`: a FeatureOrder when those trees take the kernel build's
+  /// exact split search, null otherwise (kernels off, random thresholds,
+  /// histogram scan). With a TransformCache on `ctx` the order comes from
+  /// its presort memo, shared with earlier and later fits on the same
+  /// storage and row view; without one it is built for this fit alone.
+  static std::shared_ptr<const FeatureOrder> PresortFor(
+      const Dataset& train, const DecisionTreeParams& params,
+      ExecutionContext* ctx);
 
   /// Ensemble-internal entry points: train/score on behalf of a parent
   /// that does its own (parallel) work accounting. `flops` accumulates
   /// the abstract work performed. `order` is the fit's
-  /// PresortFor(train, params) result.
+  /// PresortFor(train, params, ctx) result.
   Status FitCounted(const Dataset& train,
                     const std::vector<size_t>& row_indices,
-                    const std::optional<FeatureOrder>& order, Rng* rng,
-                    double* flops);
+                    const FeatureOrder* order, Rng* rng, double* flops);
   void PredictProbaCounted(const Dataset& data, ProbaMatrix* out,
                            double* flops) const;
   /// Adds each row's leaf distribution into a flat rows x k accumulator

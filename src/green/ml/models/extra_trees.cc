@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "green/ml/kernels/kernels.h"
 
@@ -38,7 +37,7 @@ Status ExtraTrees::Fit(const Dataset& train, ExecutionContext* ctx) {
     trees_.emplace_back(tree_params);
     // Random thresholds scan node columns directly: no presort.
     GREEN_RETURN_IF_ERROR(trees_.back().FitCounted(
-        train, all, /*order=*/std::nullopt, &tree_rng, &flops));
+        train, all, /*order=*/nullptr, &tree_rng, &flops));
   }
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.95);
   if (ctx->Interrupted()) {

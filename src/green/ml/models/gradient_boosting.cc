@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 
 #include "green/common/arena.h"
 #include "green/common/mathutil.h"
 #include "green/common/rng.h"
-#include "green/ml/kernels/kernels.h"
 #include "green/ml/kernels/tree_kernels.h"
+#include "green/ml/models/decision_tree.h"
 
 namespace green {
 
@@ -81,14 +80,11 @@ Status GradientBoosting::Fit(const Dataset& train, ExecutionContext* ctx) {
   std::vector<double> proba;
 
   // One presort for the whole run; each round rank-filters its row
-  // sample out of it.
+  // sample out of it. Boosting trees always take the exact scan (the
+  // default tree params' mode), so this is null only with kernels off.
+  const std::shared_ptr<const FeatureOrder> order =
+      DecisionTree::PresortFor(train, DecisionTreeParams{}, ctx);
   Arena* arena = ScratchArena();
-  ArenaScope fit_scope(arena);
-  std::optional<FeatureOrder> order;
-  if (KernelsEnabled() &&
-      train.num_rows() <= std::numeric_limits<uint32_t>::max()) {
-    order.emplace(train, arena);
-  }
   TreeKernelParams kp;
   kp.max_depth = params_.max_depth;
   kp.min_samples_leaf = params_.min_samples_leaf;
@@ -206,7 +202,7 @@ int GradientBoosting::BuildRegNode(const Dataset& train,
       for (size_t i = 0; i + 1 < sorted.size(); ++i) {
         left_sum += target[sorted[i].second];
         left_n += 1.0;
-        if (sorted[i + 1].first - sorted[i].first <= 1e-12) continue;
+        if (SkipSplitGap(sorted[i].first, sorted[i + 1].first)) continue;
         const double right_n = n - left_n;
         if (left_n < params_.min_samples_leaf ||
             right_n < params_.min_samples_leaf) {
@@ -220,7 +216,8 @@ int GradientBoosting::BuildRegNode(const Dataset& train,
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+          best_threshold =
+              SplitThreshold(sorted[i].first, sorted[i + 1].first);
         }
       }
       *flops += n;

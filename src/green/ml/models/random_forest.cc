@@ -1,9 +1,8 @@
 #include "green/ml/models/random_forest.h"
 
 #include <cmath>
-#include <optional>
+#include <memory>
 
-#include "green/common/arena.h"
 #include "green/ml/kernels/kernels.h"
 
 namespace green {
@@ -31,9 +30,8 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
                              static_cast<double>(train.num_rows())));
   // One presort for the whole forest; each tree expands its bootstrap
   // sample from it.
-  ArenaScope fit_scope(ScratchArena());
-  const std::optional<FeatureOrder> order =
-      DecisionTree::PresortFor(train, tree_params, ScratchArena());
+  const std::shared_ptr<const FeatureOrder> order =
+      DecisionTree::PresortFor(train, tree_params, ctx);
   for (int t = 0; t < params_.num_trees; ++t) {
     if (ctx->Interrupted()) {
       return Status::DeadlineExceeded("random_forest: interrupted mid-fit");
@@ -46,7 +44,8 @@ Status RandomForest::Fit(const Dataset& train, ExecutionContext* ctx) {
     tree_params.seed = tree_rng.NextUint64();
     trees_.emplace_back(tree_params);
     GREEN_RETURN_IF_ERROR(
-        trees_.back().FitCounted(train, sample, order, &tree_rng, &flops));
+        trees_.back().FitCounted(train, sample, order.get(), &tree_rng,
+                                 &flops));
   }
   // Independent trees: embarrassingly parallel training.
   ctx->ChargeCpu(flops, train.FeatureBytes(), /*parallel_fraction=*/0.95);

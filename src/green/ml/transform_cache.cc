@@ -136,9 +136,64 @@ void TransformCache::InsertPredict(
   AdmitLocked(std::move(key), std::move(entry));
 }
 
+std::shared_ptr<const FeatureOrder> TransformCache::FeatureOrderFor(
+    const Dataset& input) {
+  std::string key = MapKey(input, /*chain_signature=*/"");
+  {
+    std::lock_guard<std::mutex> lock(order_mutex_);
+    auto it = order_index_.find(key);
+    if (it != order_index_.end() &&
+        SameView(it->second->second.input, input)) {
+      order_lru_.splice(order_lru_.begin(), order_lru_, it->second);
+      ++order_hits_;
+      return it->second->second.order;
+    }
+    ++order_misses_;
+  }
+  auto order = std::make_shared<const FeatureOrder>(input);
+  // The order plus the pinned copy's own per-row state; the storage it
+  // shares is the chain entries' (or the caller's) to account for.
+  const size_t bytes = sizeof(OrderEntry) + key.size() + order->bytes() +
+                       input.labels().size() * sizeof(int) +
+                       input.targets().size() * sizeof(double);
+
+  std::lock_guard<std::mutex> lock(order_mutex_);
+  if (bytes > order_max_bytes()) {
+    ++order_evictions_;  // Bigger than the whole memo: never admitted.
+    return order;
+  }
+  auto it = order_index_.find(key);
+  if (it != order_index_.end()) {
+    // A racing build of the same view: share the incumbent. (A different
+    // view under the same key is a fingerprint collision; keep ours
+    // unshared.)
+    if (!SameView(it->second->second.input, input)) return order;
+    order_lru_.splice(order_lru_.begin(), order_lru_, it->second);
+    return it->second->second.order;
+  }
+  order_lru_.emplace_front(std::move(key), OrderEntry{input, order, bytes});
+  order_index_[order_lru_.front().first] = order_lru_.begin();
+  order_bytes_ += bytes;
+  while (order_bytes_ > order_max_bytes()) {
+    const auto& victim = order_lru_.back();
+    order_bytes_ -= victim.second.bytes;
+    order_index_.erase(victim.first);
+    order_lru_.pop_back();
+    ++order_evictions_;
+  }
+  return order;
+}
+
 TransformCacheStats TransformCache::Stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   TransformCacheStats stats;
+  {
+    std::lock_guard<std::mutex> lock(order_mutex_);
+    stats.order_hits = order_hits_;
+    stats.order_misses = order_misses_;
+    stats.order_evictions = order_evictions_;
+    stats.order_bytes = order_bytes_;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
   stats.hits = hits_;
   stats.misses = misses_;
   stats.predict_hits = predict_hits_;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "green/ml/estimator.h"
+#include "green/ml/kernels/tree_kernels.h"
 #include "green/sim/execution_context.h"
 #include "green/table/dataset.h"
 
@@ -45,6 +46,13 @@ struct TransformCacheStats {
   uint64_t evictions = 0;
   size_t entries = 0;
   size_t bytes = 0;
+  /// Presort memo (FeatureOrderFor), kept apart from the counters above:
+  /// lookups served from the memo, lookups that built an order, orders
+  /// dropped (LRU or larger than the memo budget), bytes resident.
+  uint64_t order_hits = 0;
+  uint64_t order_misses = 0;
+  uint64_t order_evictions = 0;
+  size_t order_bytes = 0;
 };
 
 /// Thread-safe, byte-bounded, LRU-evicting memo of fitted transformer
@@ -89,8 +97,24 @@ class TransformCache {
       const std::shared_ptr<const TransformCacheEntry>& chain,
       const Dataset& input, Dataset transformed, ChargeTape tape);
 
+  /// Presort memo shared across fits: the FeatureOrder of `input`, keyed
+  /// like the fit entries (storage identity, row count, width, view
+  /// fingerprint, then an exact row-view comparison). On a miss the order
+  /// is built outside the lock and memoized; a racing build of the same
+  /// view yields the incumbent. Each memo entry pins its input Dataset,
+  /// so the StorageId cannot be recycled and copy-on-write forbids
+  /// in-place mutation while the entry lives. A separate LRU bounded by
+  /// order_max_bytes(), outside the `bytes` accounting of the chain
+  /// entries. An order larger than that budget is returned unshared.
+  std::shared_ptr<const FeatureOrder> FeatureOrderFor(const Dataset& input);
+
   TransformCacheStats Stats() const;
   size_t max_bytes() const { return max_bytes_; }
+  /// The presort memo's byte budget: 1/128 of max_bytes() (2 MiB of the
+  /// default 256 MiB). The memo only has to hold the orders of the
+  /// transformed sets in current use; holding all of them would cost far
+  /// more memory than the sorts it saves.
+  size_t order_max_bytes() const { return max_bytes_ / 128; }
 
  private:
   using LruList =
@@ -111,6 +135,13 @@ class TransformCache {
   std::shared_ptr<const TransformCacheEntry> AdmitLocked(
       std::string key, std::shared_ptr<const TransformCacheEntry> entry);
 
+  struct OrderEntry {
+    Dataset input;  ///< Pin: keeps the storage identity exact.
+    std::shared_ptr<const FeatureOrder> order;
+    size_t bytes = 0;
+  };
+  using OrderLru = std::list<std::pair<std::string, OrderEntry>>;
+
   const size_t max_bytes_;
   mutable std::mutex mutex_;
   LruList lru_;  // Front = most recently used.
@@ -122,6 +153,14 @@ class TransformCache {
   uint64_t predict_misses_ = 0;
   uint64_t insertions_ = 0;
   uint64_t evictions_ = 0;
+
+  mutable std::mutex order_mutex_;  // Guards the presort memo below.
+  OrderLru order_lru_;              // Front = most recently used.
+  std::unordered_map<std::string, OrderLru::iterator> order_index_;
+  size_t order_bytes_ = 0;
+  uint64_t order_hits_ = 0;
+  uint64_t order_misses_ = 0;
+  uint64_t order_evictions_ = 0;
 };
 
 }  // namespace green

@@ -3,9 +3,12 @@
 // kernels on vs off (sequential and across worker counts), arena
 // reuse/rewind semantics, per-model fit/predict identity with the kernels
 // on vs off on tie-heavy data, histogram-vs-exact split agreement on
-// discrete-valued (tie-heavy) features, exactness of the per-sample
-// stripes expanded from a fit's shared FeatureOrder, and clean fits on
-// NaN/Inf/signed-zero/constant columns.
+// discrete-valued (tie-heavy) features, the exact Gini scan's
+// division-free candidate screen against the reference comparison, the
+// exact scans' candidate and threshold rules at infinite and overflowing
+// neighbours, exactness of the per-sample stripes expanded from a fit's
+// shared FeatureOrder, and clean fits on NaN/Inf/signed-zero/constant/
+// 1e308-scale columns.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -257,11 +261,23 @@ ModelTrace FitAndPredict(Estimator* estimator, const Dataset& data,
   return trace;
 }
 
-void ExpectModelsIdentical(const Dataset& data, bool regression) {
+/// The models whose classification trees take the exact Gini scan.
+std::vector<std::unique_ptr<Estimator>> GiniScanModels() {
+  std::vector<std::unique_ptr<Estimator>> models;
+  models.push_back(std::make_unique<DecisionTree>(DecisionTreeParams{}));
+  models.push_back(std::make_unique<RandomForest>(RandomForestParams{}));
+  models.push_back(std::make_unique<AdaBoost>(AdaBoostParams{}));
+  return models;
+}
+
+/// Fits two fresh model sets from `make` on `data`, one with the kernels
+/// on and one with GREEN_KERNELS=0, and compares every output bit.
+void ExpectModelsIdentical(
+    const Dataset& data,
+    const std::function<std::vector<std::unique_ptr<Estimator>>()>& make) {
   KernelsToggleGuard guard;
-  std::vector<std::unique_ptr<Estimator>> with_kernels =
-      TreeModels(regression);
-  std::vector<std::unique_ptr<Estimator>> reference = TreeModels(regression);
+  std::vector<std::unique_ptr<Estimator>> with_kernels = make();
+  std::vector<std::unique_ptr<Estimator>> reference = make();
   for (size_t i = 0; i < with_kernels.size(); ++i) {
     SCOPED_TRACE(with_kernels[i]->Name() + " #" + std::to_string(i));
     const ModelTrace on = FitAndPredict(with_kernels[i].get(), data, true);
@@ -277,16 +293,133 @@ void ExpectModelsIdentical(const Dataset& data, bool regression) {
 
 TEST(KernelModelIdentityTest, BinaryTreeModelsIdenticalKernelsOnOff) {
   ExpectModelsIdentical(Quantized(TestData(160, 6, 2, /*seed=*/31)),
-                        /*regression=*/false);
+                        [] { return TreeModels(/*regression=*/false); });
 }
 
 TEST(KernelModelIdentityTest, FiveClassTreeModelsIdenticalKernelsOnOff) {
   ExpectModelsIdentical(Quantized(TestData(200, 6, 5, /*seed=*/32)),
-                        /*regression=*/false);
+                        [] { return TreeModels(/*regression=*/false); });
 }
 
 TEST(KernelModelIdentityTest, RegressionTreeModelsIdenticalKernelsOnOff) {
-  ExpectModelsIdentical(QuantizedRegressionData(), /*regression=*/true);
+  ExpectModelsIdentical(QuantizedRegressionData(),
+                        [] { return TreeModels(/*regression=*/true); });
+}
+
+TEST(KernelModelIdentityTest, FiftyClassGiniModelsIdenticalKernelsOnOff) {
+  // Many classes: the screened Gini scan against the reference's k-class
+  // division loop at every candidate.
+  ExpectModelsIdentical(Quantized(TestData(1000, 6, 50, /*seed=*/33)),
+                        GiniScanModels);
+}
+
+TEST(KernelModelIdentityTest, LargeNodeGiniModelsIdenticalKernelsOnOff) {
+  // n = 4000: large counts in the screen's squared-count sums.
+  ExpectModelsIdentical(Quantized(TestData(4000, 6, 3, /*seed=*/34)),
+                        GiniScanModels);
+}
+
+// --- Exact-scan Gini candidate screen ---------------------------------
+
+/// Rows of `k` classes, skewed towards the low class ids so that nearly
+/// pure nodes and sides occur too.
+std::vector<int> SkewedLabels(size_t n, int k, Rng* rng) {
+  std::vector<int> labels(n);
+  for (int& label : labels) {
+    const uint64_t cap = rng->NextBounded(static_cast<uint64_t>(k)) + 1;
+    label = static_cast<int>(rng->NextBounded(cap));
+  }
+  return labels;
+}
+
+/// `v` moved by `ulps` representable doubles (towards +Inf if positive).
+double ShiftUlps(double v, int ulps) {
+  const double dir = ulps > 0 ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity();
+  for (int i = 0; i < std::abs(ulps); ++i) v = std::nextafter(v, dir);
+  return v;
+}
+
+TEST(GiniScreenTest, NeverSkipsACandidateTheReferenceAccepts) {
+  Rng rng(2024);
+  size_t accepted = 0;
+  size_t checked = 0;
+  for (int k : {2, 3, 7, 50}) {
+    const size_t kk = static_cast<size_t>(k);
+    for (int trial = 0; trial < 150; ++trial) {
+      const size_t n = 2 + rng.NextBounded(4999);  // 2 <= n <= 5000.
+      std::vector<int> labels = SkewedLabels(n, k, &rng);
+      const size_t n_left = 1 + rng.NextBounded(n - 1);
+      std::vector<uint32_t> node(kk, 0u);
+      std::vector<uint32_t> left(kk, 0u);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t c = static_cast<size_t>(labels[i]);
+        ++node[c];
+        if (i < n_left) ++left[c];
+      }
+      std::vector<double> counts(kk);
+      uint64_t sq_left = 0;
+      uint64_t sq_right = 0;
+      for (size_t c = 0; c < kk; ++c) {
+        counts[c] = static_cast<double>(node[c]);
+        const uint64_t rc = node[c] - left[c];
+        sq_left += uint64_t{left[c]} * left[c];
+        sq_right += rc * rc;
+      }
+      const double nd = static_cast<double>(n);
+      const double nl = static_cast<double>(n_left);
+      const double nr = nd - nl;
+      const double score =
+          ExactGiniScore(left.data(), counts.data(), kk, nl, nr, nd);
+      for (double base : {score, score + 1e-12, score - 1e-12}) {
+        for (int ulps : {0, 1, -1, 2, -2, 1000, -1000}) {
+          const double best = ShiftUlps(base, ulps);
+          const bool accepts = score < best - 1e-12;
+          const bool skips =
+              GiniScreenSkips(sq_left, sq_right, nl, nr, nd, best);
+          ASSERT_FALSE(accepts && skips)
+              << "k=" << k << " n=" << n << " n_left=" << n_left
+              << " score=" << score << " best=" << best;
+          accepted += accepts;
+          ++checked;
+        }
+      }
+      // Far from the best the screen does its job: a candidate 1e-6
+      // worse is skipped, one 1e-6 better is scored.
+      EXPECT_TRUE(GiniScreenSkips(sq_left, sq_right, nl, nr, nd,
+                                  score - 1e-6));
+      EXPECT_FALSE(GiniScreenSkips(sq_left, sq_right, nl, nr, nd,
+                                   score + 1e-6));
+    }
+  }
+  // Both sides of the reference comparison were exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, checked);
+}
+
+TEST(ExactScanEdgeTest, EqualInfinitiesAndOverflowingMidpoints) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  // Equal values are never a candidate, infinite ones included.
+  EXPECT_TRUE(SkipSplitGap(inf, inf));
+  EXPECT_TRUE(SkipSplitGap(-inf, -inf));
+  EXPECT_TRUE(SkipSplitGap(-0.0, 0.0));
+  EXPECT_TRUE(SkipSplitGap(1.0, 1.0 + 1e-13));
+  EXPECT_FALSE(SkipSplitGap(1.0, 2.0));
+  EXPECT_FALSE(SkipSplitGap(1.0, inf));
+  // A number before NaN stays a candidate (NaN gap), unchanged.
+  EXPECT_FALSE(SkipSplitGap(1.0, nan));
+  // Thresholds route `a` left and `b` right (`v <= threshold`).
+  const std::pair<double, double> gaps[] = {
+      {1.0, 2.0},        {5.0, inf},       {-inf, -3.0},
+      {-inf, inf},       {1e308, 1.5e308}, {-1.7e308, -1e308},
+      {-1e308, 1.7e308}, {1.7e308, inf}};
+  for (const auto& [a, b] : gaps) {
+    const double t = SplitThreshold(a, b);
+    EXPECT_TRUE(a <= t && !(b <= t)) << a << " | " << b << " -> " << t;
+  }
+  EXPECT_EQ(SplitThreshold(1.0, 2.0), 1.5);
+  EXPECT_TRUE(std::isnan(SplitThreshold(1.0, nan)));
 }
 
 // --- Arena -----------------------------------------------------------
@@ -476,26 +609,30 @@ TEST(HistogramSplitTest, TreePredictionsMatchExactOnDiscreteData) {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr size_t kPathologicalWidth = 7;
 
-/// Columns: heavy ties, signed zeros, +-Inf, NaN, constant, continuous
-/// (`signal` plus noise). Consumes the same draws from `rng` every call.
+/// Columns: heavy ties, signed zeros, +-Inf, NaN, constant, a mix of
+/// the above, and finite +-1e308-scale magnitudes whose midpoints
+/// overflow. Consumes the same draws from `rng` every call.
 std::vector<double> PathologicalRow(double signal, Rng* rng) {
   signal += rng->NextDouble();
   const uint64_t pick = rng->NextBounded(6);
-  std::vector<double> x(6);
+  std::vector<double> x(kPathologicalWidth);
   x[0] = static_cast<double>(rng->NextBounded(3));  // Heavy ties.
   x[1] = pick < 3 ? -0.0 : (pick < 5 ? 0.0 : signal);
   x[2] = pick == 0 ? -kInf : (pick == 1 ? kInf : signal);
   x[3] = pick < 2 ? kNaN : signal;
   x[4] = 3.5;  // Constant column.
   x[5] = pick == 0 ? kNaN : (pick == 1 ? -0.0 : (pick == 2 ? kInf : signal));
+  x[6] = (pick < 3 ? -1e308 : 1e308) *
+         (1.0 + 0.7 * (signal - std::floor(signal)));
   return x;
 }
 
 /// Classification rows of PathologicalRow; row r has label r % classes.
 /// Column j of row r is a pure function of (r, j, seed).
 Dataset PathologicalData(size_t rows, int classes, uint64_t seed) {
-  Dataset data("pathological", 6, classes);
+  Dataset data("pathological", kPathologicalWidth, classes);
   Rng rng(seed);
   for (size_t r = 0; r < rows; ++r) {
     const int label = static_cast<int>(r % static_cast<size_t>(classes));
@@ -508,7 +645,8 @@ Dataset PathologicalData(size_t rows, int classes, uint64_t seed) {
 
 /// Regression rows of PathologicalRow; the target is the finite signal.
 Dataset PathologicalRegressionData(size_t rows, uint64_t seed) {
-  Dataset data = Dataset::Regression("pathological_regression", 6);
+  Dataset data =
+      Dataset::Regression("pathological_regression", kPathologicalWidth);
   Rng rng(seed);
   for (size_t r = 0; r < rows; ++r) {
     const double target = static_cast<double>(r % 5);
@@ -601,7 +739,7 @@ TEST(FeatureOrderTest, ExpandedStripesMatchPerSampleSort) {
   samples.push_back(heavy);
 
   Arena arena(/*block_bytes=*/4096);
-  const FeatureOrder order(data, &arena);
+  const FeatureOrder order(data);
   ASSERT_EQ(order.num_rows(), n);
   ASSERT_EQ(order.num_features(), d);
   // The shared order itself is the identity sample's stripes.
@@ -617,7 +755,7 @@ TEST(FeatureOrderTest, ExpansionCoversEveryMultiplicityWithinBounds) {
   const Dataset data = PathologicalData(91, 3, /*seed=*/12);
   const size_t n = data.num_rows();
   Arena arena(/*block_bytes=*/4096);
-  const FeatureOrder order(data, &arena);
+  const FeatureOrder order(data);
   Rng rng(19);
   std::vector<std::vector<size_t>> samples;
   std::vector<size_t> multiplicities;  // Row r appears r % 7 times.
@@ -651,7 +789,7 @@ TEST(FeatureOrderTest, GbRoundPresortMatchesPerSampleSort) {
   const Dataset data = PathologicalData(83, 2, /*seed=*/8);
   const size_t n = data.num_rows();
   Arena arena(/*block_bytes=*/4096);
-  const FeatureOrder order(data, &arena);
+  const FeatureOrder order(data);
   Rng rng(3);
   for (double subsample : {0.3, 0.7, 1.0}) {
     // Same row-set rule as GradientBoosting::Fit: ascending, distinct.
@@ -677,7 +815,7 @@ TEST(FeatureOrderTest, NaNFreeOrderIsValueThenRowId) {
   // order std::sort on (value, row) pairs gives the reference builders.
   const Dataset data = TestData(64, 5, 2, /*seed=*/17);
   Arena arena;
-  const FeatureOrder order(data, &arena);
+  const FeatureOrder order(data);
   for (size_t f = 0; f < data.num_features(); ++f) {
     std::vector<std::pair<double, size_t>> pairs;
     for (size_t r = 0; r < data.num_rows(); ++r) {
@@ -733,17 +871,12 @@ TEST(PathologicalInputTest, TreeModelsFitAndPredictValidProbabilities) {
                     TreeModels(/*regression=*/false));
 }
 
-TEST(PathologicalInputTest, RandomThresholdAndBoostedRegressionFitsFinite) {
-  // The exact regression trees (decision_tree, random_forest) are not
-  // covered: see ROADMAP, "exact split scans on +-Inf columns".
-  GradientBoostingParams stochastic;
-  stochastic.subsample = 0.6;
-  std::vector<std::unique_ptr<Estimator>> models;
-  models.push_back(std::make_unique<ExtraTrees>(ExtraTreesParams{}));
-  models.push_back(
-      std::make_unique<GradientBoosting>(GradientBoostingParams{}));
-  models.push_back(std::make_unique<GradientBoosting>(stochastic));
-  ExpectFitsCleanly(PathologicalRegressionData(150, /*seed=*/4), models);
+TEST(PathologicalInputTest, RegressionTreeModelsFitFinite) {
+  // Equal infinities are no split candidate and an overflowing midpoint
+  // falls back to the lower value, so no exact split leaves an empty
+  // child whose mean would be 0/0.
+  ExpectFitsCleanly(PathologicalRegressionData(150, /*seed=*/4),
+                    TreeModels(/*regression=*/true));
 }
 
 }  // namespace

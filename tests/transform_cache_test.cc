@@ -1,19 +1,26 @@
 // Tests for zero-copy dataset views and the charge-replaying transform
 // cache: CoW semantics, tape record/replay bit-identity, pipeline-level
 // cache hits, LRU byte bounding, truncation safety, config signatures,
-// and end-to-end record/scope-tree identity with the cache on vs off and
-// across host worker counts.
+// the presort memo shared across fits (keying, pinning, bounding, and
+// concurrent forest fits on one cached dataset), and end-to-end
+// record/scope-tree identity with the cache on vs off and across host
+// worker counts.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/record_io.h"
 #include "green/data/synthetic.h"
+#include "green/ml/kernels/kernels.h"
 #include "green/ml/models/decision_tree.h"
+#include "green/ml/models/gradient_boosting.h"
+#include "green/ml/models/random_forest.h"
 #include "green/ml/pipeline.h"
 #include "green/ml/preprocess/binning.h"
 #include "green/ml/preprocess/feature_selection.h"
@@ -287,6 +294,233 @@ TEST(TransformCacheTest, LookupIsExactOnViewNotJustFingerprint) {
   EXPECT_NE(cache.Lookup(view_a, "chain"), nullptr);
   EXPECT_EQ(cache.Lookup(view_b, "chain"), nullptr);
   EXPECT_EQ(cache.Lookup(view_a, "other"), nullptr);
+}
+
+// --- Presort memo shared across fits ----------------------------------
+
+/// Turns the kernels on (PresortFor builds orders only with them) and
+/// restores the previous setting.
+class KernelsOn {
+ public:
+  KernelsOn() : previous_(KernelsEnabled()) { SetKernelsEnabled(true); }
+  ~KernelsOn() { SetKernelsEnabled(previous_); }
+
+ private:
+  bool previous_;
+};
+
+/// True when two orders hold the same shape and the same bytes.
+bool SameOrderBytes(const FeatureOrder& a, const FeatureOrder& b) {
+  if (a.num_rows() != b.num_rows() ||
+      a.num_features() != b.num_features()) {
+    return false;
+  }
+  const size_t cells = a.num_rows() * a.num_features();
+  return std::memcmp(a.rows(0), b.rows(0), cells * sizeof(uint32_t)) == 0 &&
+         std::memcmp(a.values(0), b.values(0), cells * sizeof(double)) == 0;
+}
+
+TEST(PresortMemoTest, HitSharesOneOrderByteEqualToAFreshBuild) {
+  const Dataset data = TestData(120, 6, 3);
+  TransformCache cache(64 * 1024 * 1024);
+  const std::shared_ptr<const FeatureOrder> first =
+      cache.FeatureOrderFor(data);
+  const Dataset copy = data;  // Same storage, same (contiguous) view.
+  const std::shared_ptr<const FeatureOrder> second =
+      cache.FeatureOrderFor(copy);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_TRUE(SameOrderBytes(*first, FeatureOrder(data)));
+
+  const TransformCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.order_hits, 1u);
+  EXPECT_EQ(stats.order_misses, 1u);
+  EXPECT_EQ(stats.order_evictions, 0u);
+  EXPECT_GE(stats.order_bytes, first->bytes());
+  // The memo stays out of the chain entries' counters and bytes.
+  EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+}
+
+TEST(PresortMemoTest, DifferentStorageViewOrWidthMisses) {
+  const Dataset base = TestData(60, 5, 2);
+  const Dataset view_a = base.Subset({1, 2, 3, 4, 5, 6});
+  const Dataset view_b = base.Subset({1, 2, 3, 4, 5, 7});
+  const Dataset twin = TestData(60, 5, 2);  // Equal cells, new storage.
+  const Dataset narrow = base.SelectFeatures({0, 1, 2});
+  std::vector<size_t> all(base.num_rows());
+  for (size_t r = 0; r < all.size(); ++r) all[r] = r;
+  const Dataset identity_view = base.Subset(all);  // Indexed, not plain.
+  TransformCache cache(64 * 1024 * 1024);
+
+  const auto a = cache.FeatureOrderFor(view_a);
+  for (const Dataset* other : {&view_b, &twin, &narrow, &identity_view}) {
+    EXPECT_NE(cache.FeatureOrderFor(*other).get(), a.get());
+  }
+  EXPECT_EQ(cache.Stats().order_misses, 5u);
+  EXPECT_EQ(cache.Stats().order_hits, 0u);
+  EXPECT_EQ(cache.FeatureOrderFor(view_a).get(), a.get());
+  EXPECT_EQ(cache.FeatureOrderFor(base.Subset({1, 2, 3, 4, 5, 6})).get(),
+            a.get());  // An equal row view of the same storage hits.
+  EXPECT_EQ(cache.Stats().order_hits, 2u);
+}
+
+TEST(PresortMemoTest, LruStaysWithinItsBudgetAndEvicts) {
+  // Memo budget: 8 MiB / 128 = 64 KiB; each 200 x 10 order is ~24 KB.
+  TransformCache cache(8 * 1024 * 1024);
+  ASSERT_EQ(cache.order_max_bytes(), 64u * 1024u);
+  const Dataset base = TestData(1200, 10, 2);
+  std::vector<Dataset> views;
+  for (size_t v = 0; v < 6; ++v) {
+    std::vector<size_t> rows(200);
+    for (size_t i = 0; i < rows.size(); ++i) rows[i] = v * 200 + i;
+    views.push_back(base.Subset(rows));
+  }
+  for (const Dataset& view : views) {
+    cache.FeatureOrderFor(view);
+    EXPECT_LE(cache.Stats().order_bytes, cache.order_max_bytes());
+  }
+  const TransformCacheStats stats = cache.Stats();
+  EXPECT_GT(stats.order_evictions, 0u);
+  EXPECT_EQ(stats.order_misses, 6u);
+  // The most recent view survived; the oldest was evicted.
+  cache.FeatureOrderFor(views.back());
+  EXPECT_EQ(cache.Stats().order_hits, 1u);
+  cache.FeatureOrderFor(views.front());
+  EXPECT_EQ(cache.Stats().order_misses, 7u);
+
+  // An order larger than the whole memo is returned but never admitted.
+  const size_t resident = cache.Stats().order_bytes;
+  const uint64_t evictions = cache.Stats().order_evictions;
+  const auto big = cache.FeatureOrderFor(base);  // ~144 KB.
+  ASSERT_NE(big, nullptr);
+  EXPECT_TRUE(SameOrderBytes(*big, FeatureOrder(base)));
+  EXPECT_EQ(cache.Stats().order_bytes, resident);
+  EXPECT_EQ(cache.Stats().order_evictions, evictions + 1);
+  EXPECT_NE(cache.FeatureOrderFor(base).get(), big.get());
+}
+
+TEST(PresortMemoTest, MutatedSourceCopiesOnWriteAndMisses) {
+  Dataset data = TestData(80, 4, 2);
+  TransformCache cache(64 * 1024 * 1024);
+  const auto before = cache.FeatureOrderFor(data);
+  const size_t n = data.num_rows();
+  const uint32_t last = before->rows(0)[n - 1];
+  const double last_value = before->values(0)[n - 1];
+  const void* pinned_storage = data.StorageId();
+
+  // The memo pins the storage, so the write must copy first.
+  data.Set(last, 0, -1e6);
+  EXPECT_NE(data.StorageId(), pinned_storage);
+  const auto after = cache.FeatureOrderFor(data);
+  EXPECT_NE(after.get(), before.get());
+  EXPECT_EQ(cache.Stats().order_misses, 2u);
+  EXPECT_EQ(after->rows(0)[0], last);  // The mutated cell sorts first now.
+  // The memoized order still describes the pinned, unmutated cells.
+  EXPECT_EQ(before->rows(0)[n - 1], last);
+  EXPECT_EQ(before->values(0)[n - 1], last_value);
+  EXPECT_TRUE(SameOrderBytes(*after, FeatureOrder(data)));
+}
+
+TEST(PresortMemoTest, PresortForSharesOnlyThroughTheContextCache) {
+  KernelsOn kernels;
+  const Dataset data = TestData(90, 5, 2);
+  EnergyModel model(MachineModel::Minimal());
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  const DecisionTreeParams params;
+
+  // No cache on the context: every call builds a fresh, equal order.
+  const auto a = DecisionTree::PresortFor(data, params, &ctx);
+  const auto b = DecisionTree::PresortFor(data, params, &ctx);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_TRUE(SameOrderBytes(*a, *b));
+
+  TransformCache cache(64 * 1024 * 1024);
+  ctx.SetTransformCache(&cache);
+  const auto c = DecisionTree::PresortFor(data, params, &ctx);
+  EXPECT_EQ(DecisionTree::PresortFor(data, params, &ctx).get(), c.get());
+  EXPECT_TRUE(SameOrderBytes(*a, *c));
+
+  // Random-threshold trees take no presort and touch no memo.
+  DecisionTreeParams extra = params;
+  extra.random_thresholds = true;
+  EXPECT_EQ(DecisionTree::PresortFor(data, extra, &ctx), nullptr);
+  EXPECT_EQ(cache.Stats().order_hits + cache.Stats().order_misses, 2u);
+}
+
+/// Predictions and charged work of one fit, bit for bit.
+struct FitOutput {
+  ProbaMatrix proba;
+  double flops = 0.0;
+  double clock = 0.0;
+  bool operator==(const FitOutput&) const = default;
+};
+
+FitOutput FitOnce(Estimator* estimator, const Dataset& data,
+                  TransformCache* cache) {
+  EnergyModel model(MachineModel::Minimal());
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  if (cache != nullptr) ctx.SetTransformCache(cache);
+  FitOutput out;
+  EXPECT_TRUE(estimator->Fit(data, &ctx).ok());
+  auto proba = estimator->PredictProba(data, &ctx);
+  EXPECT_TRUE(proba.ok());
+  if (proba.ok()) out.proba = std::move(proba).value();
+  out.flops = ctx.counter()->total_flops();
+  out.clock = clock.Now();
+  return out;
+}
+
+TEST(PresortMemoTest, ConcurrentForestFitsOnOneCachedDatasetMatch) {
+  // A transformed set as a chain-cache hit hands it to every fit.
+  KernelsOn kernels;
+  const Dataset raw = TestData(150, 6, 3);
+  TransformCache cache(64 * 1024 * 1024);
+  std::vector<size_t> even;
+  for (size_t r = 0; r < raw.num_rows(); r += 2) even.push_back(r);
+  const auto entry =
+      cache.Insert(raw, "chain", {}, raw.Subset(even), ChargeTape{});
+  ASSERT_NE(entry, nullptr);
+  const Dataset& transformed = entry->transformed;
+
+  RandomForest solo{RandomForestParams{}};
+  const FitOutput expected = FitOnce(&solo, transformed, nullptr);
+  GradientBoostingParams gb_params;
+  gb_params.num_rounds = 5;
+  GradientBoosting solo_gb(gb_params);
+  const FitOutput expected_gb = FitOnce(&solo_gb, transformed, nullptr);
+
+  constexpr int kFitsPerThread = 3;
+  std::vector<std::vector<FitOutput>> outputs(2);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < outputs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kFitsPerThread; ++i) {
+        RandomForest forest{RandomForestParams{}};
+        outputs[t].push_back(FitOnce(&forest, transformed, &cache));
+        GradientBoosting gb(gb_params);
+        outputs[t].push_back(FitOnce(&gb, transformed, &cache));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::vector<FitOutput>& per_thread : outputs) {
+    ASSERT_EQ(per_thread.size(), 2u * kFitsPerThread);
+    for (size_t i = 0; i < per_thread.size(); ++i) {
+      EXPECT_TRUE(per_thread[i] == (i % 2 == 0 ? expected : expected_gb))
+          << "fit " << i;
+    }
+  }
+  const TransformCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.order_hits + stats.order_misses,
+            2u * 2u * kFitsPerThread);
+  EXPECT_GE(stats.order_misses, 1u);
+  EXPECT_GT(stats.order_hits, 0u);
 }
 
 // --- Config signatures -----------------------------------------------
