@@ -180,7 +180,8 @@ std::string RenderFailureSummary(
 std::string RenderTransformCacheStats(const TransformCacheStats& stats,
                                       double budget_mb) {
   if (stats.hits + stats.misses + stats.predict_hits +
-          stats.predict_misses + stats.order_hits + stats.order_misses ==
+          stats.predict_misses + stats.order_hits + stats.order_misses +
+          stats.model_hits + stats.model_misses ==
       0) {
     return std::string();
   }
@@ -207,6 +208,11 @@ std::string RenderTransformCacheStats(const TransformCacheStats& stats,
        StrFormat("%llu", static_cast<unsigned long long>(stats.order_hits)),
        StrFormat("%llu", static_cast<unsigned long long>(stats.order_misses)),
        StrFormat("%.1f%%", rate(stats.order_hits, stats.order_misses))});
+  table.AddRow(
+      {"model",
+       StrFormat("%llu", static_cast<unsigned long long>(stats.model_hits)),
+       StrFormat("%llu", static_cast<unsigned long long>(stats.model_misses)),
+       StrFormat("%.1f%%", rate(stats.model_hits, stats.model_misses))});
   std::string out = table.Render();
   out += StrFormat(
       "transform cache  : %zu entries, %.1f MB of %.0f MB, %llu "
@@ -218,6 +224,11 @@ std::string RenderTransformCacheStats(const TransformCacheStats& stats,
       static_cast<double>(stats.order_bytes) / (1024.0 * 1024.0),
       budget_mb / 128.0,
       static_cast<unsigned long long>(stats.order_evictions));
+  out += StrFormat(
+      "model memo       : %.2f MB of %.2f MB, %llu eviction(s)\n",
+      static_cast<double>(stats.model_bytes) / (1024.0 * 1024.0),
+      budget_mb / 32.0,
+      static_cast<unsigned long long>(stats.model_evictions));
   return out;
 }
 

@@ -85,9 +85,9 @@ std::string RenderFailureSummary(
 std::string RenderEnergyBreakdown(const std::vector<RunRecord>& records);
 
 /// One-table summary of the transform-prefix cache (hit/miss/eviction
-/// counters for the fit and predict paths and the presort memo, plus
-/// residency against the byte budgets). Empty string when the cache saw
-/// no traffic.
+/// counters for the fit and predict paths, the presort memo and the
+/// model memo, plus residency against the byte budgets). Empty string
+/// when the cache saw no traffic.
 std::string RenderTransformCacheStats(const TransformCacheStats& stats,
                                       double budget_mb);
 

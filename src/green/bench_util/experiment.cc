@@ -923,7 +923,8 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
         "transform cache: %llu hit(s), %llu miss(es), %llu predict hit(s), "
         "%llu predict miss(es), %llu eviction(s), "
         "%zu entries (%.1f MB of %.0f MB); presort memo: %llu hit(s), "
-        "%llu miss(es), %llu eviction(s), %.2f MB",
+        "%llu miss(es), %llu eviction(s), %.2f MB; model memo: %llu "
+        "hit(s), %llu miss(es), %llu eviction(s), %.2f MB",
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.misses),
         static_cast<unsigned long long>(cache.predict_hits),
@@ -934,7 +935,11 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
         static_cast<unsigned long long>(cache.order_hits),
         static_cast<unsigned long long>(cache.order_misses),
         static_cast<unsigned long long>(cache.order_evictions),
-        static_cast<double>(cache.order_bytes) / (1024.0 * 1024.0)));
+        static_cast<double>(cache.order_bytes) / (1024.0 * 1024.0),
+        static_cast<unsigned long long>(cache.model_hits),
+        static_cast<unsigned long long>(cache.model_misses),
+        static_cast<unsigned long long>(cache.model_evictions),
+        static_cast<double>(cache.model_bytes) / (1024.0 * 1024.0)));
   }
   return records;
 }

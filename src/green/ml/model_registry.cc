@@ -126,6 +126,18 @@ Result<std::unique_ptr<Estimator>> BuildModel(
   return Status::InvalidArgument("unknown model: " + config.model);
 }
 
+/// Exactly the fields BuildModel reads: the model name, the seed and
+/// every parameter, printed with %a so values one ulp apart differ. Keys
+/// the fitted-model memo (Pipeline::SetModel).
+std::string ModelSignature(const PipelineConfig& config) {
+  std::string out = StrFormat("%s|%llu", config.model.c_str(),
+                              static_cast<unsigned long long>(config.seed));
+  for (const auto& [key, value] : config.params) {
+    out += StrFormat("|%s=%a", key.c_str(), value);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string PipelineConfig::Describe() const {
@@ -215,7 +227,7 @@ Result<Pipeline> BuildPipeline(const PipelineConfig& config) {
   }
   GREEN_ASSIGN_OR_RETURN(std::unique_ptr<Estimator> model,
                          BuildModel(config));
-  pipeline.SetModel(std::move(model));
+  pipeline.SetModel(std::move(model), ModelSignature(config));
   return pipeline;
 }
 

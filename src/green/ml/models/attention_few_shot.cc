@@ -55,22 +55,27 @@ Status AttentionFewShot::Fit(const Dataset& train, ExecutionContext* ctx) {
   return Status::Ok();
 }
 
-std::vector<double> AttentionFewShot::Project(const double* x,
-                                              size_t d) const {
-  const size_t h = static_cast<size_t>(params_.embed_dim);
+namespace {
+
+/// tanh(w_i . (x - mean) / std) for each of the h rows of `projection`.
+std::vector<double> Project(const std::vector<double>& projection,
+                            const std::vector<double>& feature_mean,
+                            const std::vector<double>& feature_std,
+                            const double* x, size_t d, size_t h) {
   std::vector<double> out(h, 0.0);
   for (size_t i = 0; i < h; ++i) {
-    const double* w = &projection_[i * d];
+    const double* w = &projection[i * d];
     double z = 0.0;
     for (size_t j = 0; j < d; ++j) {
-      const double norm =
-          (x[j] - feature_mean_[j]) / feature_std_[j];
+      const double norm = (x[j] - feature_mean[j]) / feature_std[j];
       z += w[j] * norm;
     }
     out[i] = std::tanh(z);  // Bounded embedding, like a trained encoder.
   }
   return out;
 }
+
+}  // namespace
 
 Result<ProbaMatrix> AttentionFewShot::PredictProba(
     const Dataset& data, ExecutionContext* ctx) const {
@@ -96,33 +101,34 @@ Result<ProbaMatrix> AttentionFewShot::PredictProba(
   // The "forward pass over the training data": feature normalization
   // statistics and context embeddings are recomputed here, at inference —
   // that is TabPFN's cost structure, and the reason its inference energy
-  // dwarfs its execution energy.
-  feature_mean_.assign(d, 0.0);
-  feature_std_.assign(d, 1.0);
+  // dwarfs its execution energy. All of it is local to this call, so
+  // concurrent predictions with one fitted model share no state.
+  std::vector<double> feature_mean(d, 0.0);
+  std::vector<double> feature_std(d, 1.0);
   for (size_t r = 0; r < n_ctx; ++r) {
     for (size_t j = 0; j < d; ++j) {
-      feature_mean_[j] += context_.At(r, j);
+      feature_mean[j] += context_.At(r, j);
     }
   }
   for (size_t j = 0; j < d; ++j) {
-    feature_mean_[j] /= static_cast<double>(n_ctx);
+    feature_mean[j] /= static_cast<double>(n_ctx);
   }
   for (size_t j = 0; j < d; ++j) {
     double var = 0.0;
     for (size_t r = 0; r < n_ctx; ++r) {
-      const double dlt = context_.At(r, j) - feature_mean_[j];
+      const double dlt = context_.At(r, j) - feature_mean[j];
       var += dlt * dlt;
     }
     var /= static_cast<double>(n_ctx);
-    feature_std_[j] = var > 1e-12 ? std::sqrt(var) : 1.0;
+    feature_std[j] = var > 1e-12 ? std::sqrt(var) : 1.0;
   }
 
   // Pretrained projection: fixed random weights from the pretrain seed.
-  if (projection_.size() != h * d) {
+  std::vector<double> projection(h * d);  // (embed_dim x input dim).
+  {
     Rng rng(params_.pretrain_seed);
-    projection_.resize(h * d);
     const double scale = 1.0 / std::sqrt(static_cast<double>(d));
-    for (double& w : projection_) w = rng.NextGaussian() * scale;
+    for (double& w : projection) w = rng.NextGaussian() * scale;
   }
 
   if (KernelsEnabled()) {
@@ -136,9 +142,9 @@ Result<ProbaMatrix> AttentionFewShot::PredictProba(
     for (size_t r = 0; r < n_ctx; ++r) {
       const double* p = context_.RowPtr(r);
       for (size_t j = 0; j < d; ++j) {
-        norm[j] = (p[j] - feature_mean_[j]) / feature_std_[j];
+        norm[j] = (p[j] - feature_mean[j]) / feature_std[j];
       }
-      ProjectTanh(projection_.data(), h, d, norm.data(),
+      ProjectTanh(projection.data(), h, d, norm.data(),
                   keys_flat.data() + r * h);
     }
     std::vector<double> query(h);
@@ -148,9 +154,9 @@ Result<ProbaMatrix> AttentionFewShot::PredictProba(
     for (size_t q = 0; q < data.num_rows(); ++q) {
       const double* x = data.RowPtr(q);
       for (size_t j = 0; j < d; ++j) {
-        norm[j] = (x[j] - feature_mean_[j]) / feature_std_[j];
+        norm[j] = (x[j] - feature_mean[j]) / feature_std[j];
       }
-      ProjectTanh(projection_.data(), h, d, norm.data(), query.data());
+      ProjectTanh(projection.data(), h, d, norm.data(), query.data());
       for (size_t r = 0; r < n_ctx; ++r) {
         const double* key = keys_flat.data() + r * h;
         double s = 0.0;
@@ -171,12 +177,14 @@ Result<ProbaMatrix> AttentionFewShot::PredictProba(
   } else {
     std::vector<std::vector<double>> keys(n_ctx);
     for (size_t r = 0; r < n_ctx; ++r) {
-      keys[r] = Project(context_.RowPtr(r), d);
+      keys[r] = Project(projection, feature_mean, feature_std,
+                        context_.RowPtr(r), d, h);
     }
 
     std::vector<double> scores(n_ctx);
     for (size_t q = 0; q < data.num_rows(); ++q) {
-      const std::vector<double> query = Project(data.RowPtr(q), d);
+      const std::vector<double> query = Project(
+          projection, feature_mean, feature_std, data.RowPtr(q), d, h);
       for (size_t r = 0; r < n_ctx; ++r) {
         scores[r] =
             Dot(query, keys[r]) /

@@ -49,16 +49,8 @@ class AttentionFewShot : public Estimator {
   size_t context_size() const { return context_.num_rows(); }
 
  private:
-  std::vector<double> Project(const double* x, size_t d) const;
-
   AttentionFewShotParams params_;
   Dataset context_;  ///< Memorized (sub)set of the training data.
-  // Recomputed inside PredictProba — TabPFN's forward pass re-processes
-  // the context on every call, so these caches are logically part of
-  // inference, not model state.
-  mutable std::vector<double> projection_;  ///< (embed_dim x input dim).
-  mutable std::vector<double> feature_mean_;
-  mutable std::vector<double> feature_std_;
   std::vector<double> prior_;
   bool class_limit_exceeded_ = false;
 };

@@ -9,8 +9,10 @@ void Pipeline::AddTransformer(std::unique_ptr<Transformer> transformer) {
   transformers_.push_back(std::move(transformer));
 }
 
-void Pipeline::SetModel(std::unique_ptr<Estimator> model) {
+void Pipeline::SetModel(std::unique_ptr<Estimator> model,
+                        std::string signature) {
   model_ = std::move(model);
+  model_signature_ = std::move(signature);
 }
 
 std::string Pipeline::ChainSignature() const {
@@ -25,10 +27,10 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
     return Status::FailedPrecondition("pipeline has no model");
   }
   if (cache_adopted_) {
-    // The transformers are shared with the cache; re-Fit would mutate
-    // state other pipelines may be reading.
+    // The transformers or the model are shared with the cache; re-Fit
+    // would mutate state other pipelines may be reading.
     return Status::FailedPrecondition(
-        "pipeline adopted cache-shared transformers and cannot be refitted");
+        "pipeline adopted cache-shared fitted state and cannot be refitted");
   }
   ChargeScope scope(ctx, "fit");
   fitted_input_width_ = train.num_features();
@@ -46,9 +48,7 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
       transformers_ = hit->transformers;
       cache_entry_ = hit;
       cache_adopted_ = true;
-      GREEN_RETURN_IF_ERROR(model_->Fit(hit->transformed, ctx));
-      fitted_ = true;
-      return Status::Ok();
+      return FitModel(hit->transformed, ctx);
     }
   }
 
@@ -83,7 +83,41 @@ Status Pipeline::Fit(const Dataset& train, ExecutionContext* ctx) {
       cache_adopted_ = true;
     }
   }
-  GREEN_RETURN_IF_ERROR(model_->Fit(current, ctx));
+  return FitModel(current, ctx);
+}
+
+Status Pipeline::FitModel(const Dataset& input, ExecutionContext* ctx) {
+  // Same record/replay contract as the chain above. The chain's tape has
+  // stopped recording by now, so the two tapes never nest.
+  TransformCache* cache = ctx->transform_cache();
+  const bool memoable = cache != nullptr && !model_signature_.empty();
+  if (memoable) {
+    if (auto hit = cache->LookupModel(input, model_signature_)) {
+      ctx->ReplayTape(hit->tape);
+      if (ctx->Interrupted()) {
+        return Status::DeadlineExceeded("pipeline: interrupted mid-fit");
+      }
+      model_ = hit->model;
+      cache_adopted_ = true;
+      fitted_ = true;
+      return Status::Ok();
+    }
+  }
+
+  ChargeTape tape;
+  const bool recording = memoable && ctx->StartTapeRecording(&tape);
+  const Status status = model_->Fit(input, ctx);
+  if (recording) ctx->StopTapeRecording();
+  GREEN_RETURN_IF_ERROR(status);
+  if (recording && !ctx->charge_truncated()) {
+    if (auto entry = cache->InsertModel(input, model_signature_, model_,
+                                        std::move(tape))) {
+      // Shared with the memo now (or a racing incumbent's equivalently
+      // fitted instance): adopt it like a donated chain.
+      model_ = entry->model;
+      cache_adopted_ = true;
+    }
+  }
   fitted_ = true;
   return Status::Ok();
 }

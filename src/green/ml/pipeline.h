@@ -23,17 +23,23 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
 
   void AddTransformer(std::unique_ptr<Transformer> transformer);
-  void SetModel(std::unique_ptr<Estimator> model);
+  /// `signature` names everything that determines the model's fitted
+  /// state besides its input (BuildPipeline derives it from the config);
+  /// it keys the fitted-model memo. Empty, as for a hand-built pipeline,
+  /// means the model is never memoized.
+  void SetModel(std::unique_ptr<Estimator> model, std::string signature = "");
 
   /// Fits transformers left-to-right, then the model, charging all work.
   ///
   /// When the ExecutionContext carries a TransformCache, the fitted
   /// transformer chain is memoized by (train storage identity + row view,
-  /// chain config signature). On a hit the host-side refit is skipped and
-  /// the recorded charge tape is replayed instead, so every simulated
-  /// quantity (clock, meter, scope tree) is bit-identical either way. A
-  /// pipeline that adopted cached transformers cannot be refitted — build
-  /// a fresh one (every call site already does).
+  /// chain config signature), and the fitted model by (model input
+  /// identity + row view + labels, model signature). On a hit the
+  /// host-side refit is skipped and the recorded charge tape is replayed
+  /// instead, so every simulated quantity (clock, meter, scope tree) is
+  /// bit-identical either way. A pipeline that shares fitted state with
+  /// the cache cannot be refitted — build a fresh one (every call site
+  /// already does).
   Status Fit(const Dataset& train, ExecutionContext* ctx);
 
   Result<ProbaMatrix> PredictProba(const Dataset& data,
@@ -62,14 +68,22 @@ class Pipeline {
   /// '|'-joined ConfigSignatures of the transformer chain (cache key).
   std::string ChainSignature() const;
 
+  /// Fits the model on the transformed `input`, through the model memo
+  /// when the context carries a cache and the model has a signature.
+  Status FitModel(const Dataset& input, ExecutionContext* ctx);
+
   /// Shared so a fitted chain can be adopted from / donated to the
   /// transform cache; unique until the first cache interaction.
   std::vector<std::shared_ptr<Transformer>> transformers_;
-  std::unique_ptr<Estimator> model_;
+  /// Shared so a fitted model can be adopted from / donated to the model
+  /// memo; unique until then.
+  std::shared_ptr<Estimator> model_;
+  std::string model_signature_;
   /// The cache entry this pipeline's chain lives in (hit or donated miss);
   /// enables the predict-path transform memo. Null when uncached.
   std::shared_ptr<const TransformCacheEntry> cache_entry_;
   bool fitted_ = false;
+  /// Transformers or model are shared with the cache: no refit.
   bool cache_adopted_ = false;
   size_t fitted_input_width_ = 0;
 };

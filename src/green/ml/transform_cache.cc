@@ -1,5 +1,8 @@
 #include "green/ml/transform_cache.h"
 
+#include <cstring>
+#include <limits>
+
 #include "green/common/stringutil.h"
 
 namespace green {
@@ -20,6 +23,16 @@ std::string TransformCache::PredictKey(const TransformCacheEntry* chain,
                    static_cast<unsigned long long>(input.ViewFingerprint()));
 }
 
+std::string TransformCache::ModelKey(const Dataset& input,
+                                     const std::string& model_signature) {
+  return MapKey(input, /*chain_signature=*/"") +
+         StrFormat("%d|%d|%lld|%lld|", static_cast<int>(input.task()),
+                   input.num_classes(),
+                   static_cast<long long>(input.nominal_rows()),
+                   static_cast<long long>(input.nominal_features())) +
+         model_signature;
+}
+
 bool TransformCache::SameView(const Dataset& a, const Dataset& b) {
   const std::vector<size_t>* ia = a.RowIndex();
   const std::vector<size_t>* ib = b.RowIndex();
@@ -31,6 +44,15 @@ bool TransformCache::SameView(const Dataset& a, const Dataset& b) {
     return false;
   }
   return *ia == *ib;
+}
+
+bool TransformCache::SameFitInput(const Dataset& a, const Dataset& b) {
+  const std::vector<double>& ta = a.targets();
+  const std::vector<double>& tb = b.targets();
+  return SameView(a, b) && a.labels() == b.labels() &&
+         ta.size() == tb.size() &&
+         (ta.empty() ||
+          std::memcmp(ta.data(), tb.data(), ta.size() * sizeof(double)) == 0);
 }
 
 size_t TransformCache::EstimateBytes(const TransformCacheEntry& entry,
@@ -141,57 +163,65 @@ std::shared_ptr<const FeatureOrder> TransformCache::FeatureOrderFor(
   std::string key = MapKey(input, /*chain_signature=*/"");
   {
     std::lock_guard<std::mutex> lock(order_mutex_);
-    auto it = order_index_.find(key);
-    if (it != order_index_.end() &&
-        SameView(it->second->second.input, input)) {
-      order_lru_.splice(order_lru_.begin(), order_lru_, it->second);
-      ++order_hits_;
-      return it->second->second.order;
-    }
-    ++order_misses_;
+    if (auto hit = orders_.Find(key, input)) return hit;
   }
   auto order = std::make_shared<const FeatureOrder>(input);
   // The order plus the pinned copy's own per-row state; the storage it
   // shares is the chain entries' (or the caller's) to account for.
-  const size_t bytes = sizeof(OrderEntry) + key.size() + order->bytes() +
+  const size_t bytes = sizeof(Dataset) + key.size() + order->bytes() +
                        input.labels().size() * sizeof(int) +
                        input.targets().size() * sizeof(double);
-
+  decltype(orders_)::Evicted evicted;  // Freed after the lock below.
   std::lock_guard<std::mutex> lock(order_mutex_);
-  if (bytes > order_max_bytes()) {
-    ++order_evictions_;  // Bigger than the whole memo: never admitted.
-    return order;
-  }
-  auto it = order_index_.find(key);
-  if (it != order_index_.end()) {
-    // A racing build of the same view: share the incumbent. (A different
-    // view under the same key is a fingerprint collision; keep ours
-    // unshared.)
-    if (!SameView(it->second->second.input, input)) return order;
-    order_lru_.splice(order_lru_.begin(), order_lru_, it->second);
-    return it->second->second.order;
-  }
-  order_lru_.emplace_front(std::move(key), OrderEntry{input, order, bytes});
-  order_index_[order_lru_.front().first] = order_lru_.begin();
-  order_bytes_ += bytes;
-  while (order_bytes_ > order_max_bytes()) {
-    const auto& victim = order_lru_.back();
-    order_bytes_ -= victim.second.bytes;
-    order_index_.erase(victim.first);
-    order_lru_.pop_back();
-    ++order_evictions_;
-  }
-  return order;
+  // Null when not admitted (too large, or a fingerprint collision): the
+  // caller still gets its order, unshared.
+  auto admitted =
+      orders_.Admit(std::move(key), input, order, bytes, &evicted);
+  return admitted != nullptr ? admitted : order;
+}
+
+std::shared_ptr<const ModelMemoEntry> TransformCache::LookupModel(
+    const Dataset& input, const std::string& model_signature) {
+  const std::string key = ModelKey(input, model_signature);
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return models_.Find(key, input);
+}
+
+std::shared_ptr<const ModelMemoEntry> TransformCache::InsertModel(
+    const Dataset& input, const std::string& model_signature,
+    std::shared_ptr<Estimator> model, ChargeTape tape) {
+  std::string key = ModelKey(input, model_signature);
+  const double estimate =
+      static_cast<double>(key.size() + tape.ApproxBytes()) +
+      64.0 * model->ComplexityProxy();
+  // Anything that is not a number within the budget is never admitted.
+  const size_t bytes =
+      estimate <= static_cast<double>(model_max_bytes())
+          ? static_cast<size_t>(estimate)
+          : std::numeric_limits<size_t>::max();
+  auto entry = std::make_shared<const ModelMemoEntry>(
+      ModelMemoEntry{std::move(model), std::move(tape)});
+  decltype(models_)::Evicted evicted;  // Freed after the lock below.
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return models_.Admit(std::move(key), input, std::move(entry), bytes,
+                       &evicted);
 }
 
 TransformCacheStats TransformCache::Stats() const {
   TransformCacheStats stats;
   {
     std::lock_guard<std::mutex> lock(order_mutex_);
-    stats.order_hits = order_hits_;
-    stats.order_misses = order_misses_;
-    stats.order_evictions = order_evictions_;
-    stats.order_bytes = order_bytes_;
+    stats.order_hits = orders_.hits();
+    stats.order_misses = orders_.misses();
+    stats.order_evictions = orders_.evictions();
+    stats.order_bytes = orders_.bytes();
+  }
+  {
+    std::lock_guard<std::mutex> lock(model_mutex_);
+    stats.model_hits = models_.hits();
+    stats.model_misses = models_.misses();
+    stats.model_evictions = models_.evictions();
+    stats.model_bytes = models_.bytes();
   }
   std::lock_guard<std::mutex> lock(mutex_);
   stats.hits = hits_;

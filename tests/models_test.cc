@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "green/data/synthetic.h"
+#include "green/ml/kernels/kernels.h"
 #include "green/ml/metrics.h"
 #include "green/ml/models/attention_few_shot.h"
 #include "green/ml/models/decision_tree.h"
@@ -368,6 +371,42 @@ TEST_F(ModelsTest, FewShotPretrainedWeightsIndependentOfData) {
   for (size_t i = 0; i < pa->size(); ++i) {
     EXPECT_DOUBLE_EQ((*pa)[i][0], (*pb)[i][0]);
   }
+}
+
+TEST_F(ModelsTest, FewShotConcurrentPredictionsShareNoState) {
+  // One fitted model, as the fitted-model memo shares it across sweep
+  // workers: concurrent forward passes must not write into the model.
+  const Dataset data = EasyTask(3, 240, 9);
+  AttentionFewShot model{AttentionFewShotParams{}};
+  ASSERT_TRUE(model.Fit(data, &ctx_).ok());
+  const bool kernels = KernelsEnabled();
+  for (bool use_kernels : {true, false}) {
+    SCOPED_TRACE(use_kernels ? "kernels" : "reference");
+    SetKernelsEnabled(use_kernels);
+    auto expected = model.PredictProba(data, &ctx_);
+    ASSERT_TRUE(expected.ok());
+    constexpr int kCallsPerThread = 3;
+    std::vector<std::vector<ProbaMatrix>> outputs(2);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < outputs.size(); ++t) {
+      threads.emplace_back([&, t] {
+        VirtualClock clock;
+        ExecutionContext ctx(&clock, &model_, 1);
+        for (int i = 0; i < kCallsPerThread; ++i) {
+          auto proba = model.PredictProba(data, &ctx);
+          if (proba.ok()) outputs[t].push_back(std::move(proba).value());
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const std::vector<ProbaMatrix>& per_thread : outputs) {
+      ASSERT_EQ(per_thread.size(), static_cast<size_t>(kCallsPerThread));
+      for (const ProbaMatrix& proba : per_thread) {
+        EXPECT_TRUE(proba == *expected);  // Bit for bit.
+      }
+    }
+  }
+  SetKernelsEnabled(kernels);
 }
 
 TEST_F(ModelsTest, MlpImprovesWithTraining) {

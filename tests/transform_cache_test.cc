@@ -2,13 +2,16 @@
 // cache: CoW semantics, tape record/replay bit-identity, pipeline-level
 // cache hits, LRU byte bounding, truncation safety, config signatures,
 // the presort memo shared across fits (keying, pinning, bounding, and
-// concurrent forest fits on one cached dataset), and end-to-end
+// concurrent forest fits on one cached dataset), the fitted-model memo
+// (keying, adoption, bounding, cancellation, refit guard), and end-to-end
 // record/scope-tree identity with the cache on vs off and across host
 // worker counts.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +19,9 @@
 
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/record_io.h"
+#include "green/common/cancel.h"
 #include "green/data/synthetic.h"
+#include "green/ml/model_registry.h"
 #include "green/ml/kernels/kernels.h"
 #include "green/ml/models/decision_tree.h"
 #include "green/ml/models/gradient_boosting.h"
@@ -523,6 +528,343 @@ TEST(PresortMemoTest, ConcurrentForestFitsOnOneCachedDatasetMatch) {
   EXPECT_GT(stats.order_hits, 0u);
 }
 
+// --- Fitted-model memo ------------------------------------------------
+
+/// A registry config whose model is cheap to fit. `with_chain` adds the
+/// imputer and scaler, so the model sees a chain-cache transformed set;
+/// without it the model fits on the train view itself.
+PipelineConfig MemoConfig(bool with_chain) {
+  PipelineConfig config;
+  config.impute = with_chain;
+  config.one_hot = false;
+  config.scaler = with_chain ? "standard" : "none";
+  config.model = "random_forest";
+  config.params = {{"num_trees", 4.0}, {"max_depth", 4.0}};
+  config.seed = 11;
+  return config;
+}
+
+/// One pipeline fit and test-set scoring, with everything it charged.
+struct MemoRun {
+  Pipeline pipeline;
+  Status fit_status;
+  ProbaMatrix proba;
+  double fit_clock = 0.0;
+  double clock = 0.0;
+  double joules = 0.0;
+  double flops = 0.0;
+};
+
+MemoRun FitAndScore(const PipelineConfig& config, const Dataset& train,
+                    const Dataset& test, TransformCache* cache) {
+  EnergyModel model(MachineModel::Minimal());
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  EnergyMeter meter(&model);
+  meter.Start(0.0);
+  ctx.SetMeter(&meter);
+  if (cache != nullptr) ctx.SetTransformCache(cache);
+  MemoRun run;
+  auto pipeline = BuildPipeline(config);
+  EXPECT_TRUE(pipeline.ok());
+  run.pipeline = std::move(pipeline).value();
+  run.fit_status = run.pipeline.Fit(train, &ctx);
+  run.fit_clock = clock.Now();
+  if (run.fit_status.ok()) {
+    auto proba = run.pipeline.PredictProba(test, &ctx);
+    EXPECT_TRUE(proba.ok());
+    if (proba.ok()) run.proba = std::move(proba).value();
+  }
+  run.clock = clock.Now();
+  run.joules = meter.Stop(clock.Now()).breakdown.TotalJoules();
+  run.flops = ctx.counter()->total_flops();
+  return run;
+}
+
+std::vector<size_t> Range(size_t begin, size_t end) {
+  std::vector<size_t> rows;
+  for (size_t r = begin; r < end; ++r) rows.push_back(r);
+  return rows;
+}
+
+TEST(ModelMemoTest, HitAdoptsTheSameModelAndMatchesAnUncachedFit) {
+  const Dataset base = TestData(160, 6, 3);
+  const Dataset train = base.Subset(Range(0, 100));
+  const Dataset test = base.Subset(Range(100, 160));
+  for (bool with_chain : {true, false}) {
+    SCOPED_TRACE(with_chain ? "with chain" : "without chain");
+    const PipelineConfig config = MemoConfig(with_chain);
+    TransformCache cache(64 * 1024 * 1024);
+    const MemoRun cold = FitAndScore(config, train, test, &cache);
+    const MemoRun warm = FitAndScore(config, train, test, &cache);
+    const MemoRun uncached = FitAndScore(config, train, test, nullptr);
+    ASSERT_TRUE(cold.fit_status.ok());
+    ASSERT_TRUE(warm.fit_status.ok());
+    ASSERT_TRUE(uncached.fit_status.ok());
+
+    const TransformCacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.model_misses, 1u);
+    EXPECT_EQ(stats.model_hits, 1u);
+    EXPECT_EQ(stats.model_evictions, 0u);
+    EXPECT_GT(stats.model_bytes, 0u);
+    EXPECT_LE(stats.model_bytes, cache.model_max_bytes());
+    EXPECT_EQ(warm.pipeline.model(), cold.pipeline.model());
+    EXPECT_NE(uncached.pipeline.model(), cold.pipeline.model());
+
+    // The replayed tape charges exactly what the refit would have.
+    EXPECT_EQ(warm.fit_clock, uncached.fit_clock);
+    EXPECT_EQ(warm.clock, uncached.clock);
+    EXPECT_EQ(warm.joules, uncached.joules);
+    EXPECT_EQ(warm.flops, uncached.flops);
+    EXPECT_EQ(cold.clock, uncached.clock);
+    EXPECT_EQ(warm.proba, uncached.proba);
+    EXPECT_EQ(cold.proba, uncached.proba);
+  }
+}
+
+TEST(ModelMemoTest, EveryConfigDifferenceMisses) {
+  const Dataset base = TestData(120, 5, 2);
+  const Dataset train = base.Subset(Range(0, 80));
+  const Dataset test = base.Subset(Range(80, 120));
+  const PipelineConfig config = MemoConfig(/*with_chain=*/false);
+  PipelineConfig other_seed = config;
+  other_seed.seed += 1;
+  PipelineConfig one_ulp = config;
+  one_ulp.params["max_depth"] =
+      std::nextafter(4.0, std::numeric_limits<double>::infinity());
+  PipelineConfig other_model = config;
+  other_model.model = "extra_trees";
+  PipelineConfig extra_param = config;
+  extra_param.params["min_samples_leaf"] = 2.0;  // The default, spelled out.
+
+  TransformCache cache(64 * 1024 * 1024);
+  const MemoRun first = FitAndScore(config, train, test, &cache);
+  uint64_t misses = 1;
+  for (const PipelineConfig* variant :
+       {&other_seed, &one_ulp, &other_model, &extra_param}) {
+    const MemoRun run = FitAndScore(*variant, train, test, &cache);
+    EXPECT_NE(run.pipeline.model(), first.pipeline.model())
+        << variant->Describe();
+    EXPECT_EQ(cache.Stats().model_misses, ++misses) << variant->Describe();
+  }
+  EXPECT_EQ(cache.Stats().model_hits, 0u);
+  EXPECT_EQ(FitAndScore(config, train, test, &cache).pipeline.model(),
+            first.pipeline.model());
+  EXPECT_EQ(cache.Stats().model_hits, 1u);
+}
+
+TEST(ModelMemoTest, EveryInputDifferenceMisses) {
+  const Dataset base = TestData(60, 5, 2);
+  const Dataset view_a = base.Subset(Range(0, 40));
+  const Dataset view_b = base.Subset(Range(1, 41));
+  const Dataset twin = TestData(60, 5, 2).Subset(Range(0, 40));
+  const Dataset narrow = view_a.SelectFeatures({0, 1, 2});
+  const Dataset identity_view = base.Subset(Range(0, base.num_rows()));
+  const Dataset nominal = [&] {  // Same storage and view, larger task.
+    Dataset copy = view_a;
+    copy.SetNominalSize(4000, 5);
+    return copy;
+  }();
+  // The public Dataset API gives a task or class-count change new
+  // storage, so these also differ in storage; the key covers them anyway.
+  const Dataset multiclass = TestData(60, 5, 3).Subset(Range(0, 40));
+  SyntheticRegressionSpec spec;
+  spec.num_rows = 60;
+  spec.num_features = 5;
+  spec.seed = 7;
+  auto generated = GenerateSyntheticRegression(spec);
+  ASSERT_TRUE(generated.ok());
+  const Dataset regression = generated.value().Subset(Range(0, 40));
+
+  TransformCache cache(64 * 1024 * 1024);
+  const auto entry =
+      cache.InsertModel(view_a, "sig", std::make_shared<DecisionTree>(
+                                           DecisionTreeParams{}),
+                        ChargeTape{});
+  ASSERT_NE(entry, nullptr);
+  for (const Dataset* other : {&view_b, &twin, &narrow, &identity_view,
+                               &nominal, &multiclass, &regression}) {
+    EXPECT_EQ(cache.LookupModel(*other, "sig"), nullptr);
+  }
+  EXPECT_EQ(cache.LookupModel(view_a, "other sig"), nullptr);
+  EXPECT_EQ(cache.Stats().model_misses, 8u);
+  // An equal row view of the same storage, with equal labels, hits.
+  EXPECT_EQ(cache.LookupModel(base.Subset(Range(0, 40)), "sig"), entry);
+  EXPECT_EQ(cache.Stats().model_hits, 1u);
+}
+
+TEST(ModelMemoTest, HandBuiltPipelineIsNeverMemoized) {
+  const Dataset train = TestData(80, 5, 2);
+  EnergyModel model(MachineModel::Minimal());
+  TransformCache cache(64 * 1024 * 1024);
+  for (int i = 0; i < 2; ++i) {
+    VirtualClock clock;
+    ExecutionContext ctx(&clock, &model, 1);
+    ctx.SetTransformCache(&cache);
+    Pipeline p = MakePipeline();  // SetModel without a signature.
+    ASSERT_TRUE(p.Fit(train, &ctx).ok());
+  }
+  const TransformCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);  // The chain is still shared.
+  EXPECT_EQ(stats.model_hits + stats.model_misses, 0u);
+  EXPECT_EQ(stats.model_bytes, 0u);
+}
+
+/// An estimator whose only property is its size proxy.
+class SizedEstimator : public Estimator {
+ public:
+  explicit SizedEstimator(double complexity) : complexity_(complexity) {}
+  Status Fit(const Dataset&, ExecutionContext*) override {
+    return Status::Ok();
+  }
+  Result<ProbaMatrix> PredictProba(const Dataset&,
+                                   ExecutionContext*) const override {
+    return ProbaMatrix();
+  }
+  std::string Name() const override { return "sized"; }
+  double InferenceFlopsPerRow(size_t) const override { return 0.0; }
+  double ComplexityProxy() const override { return complexity_; }
+
+ private:
+  double complexity_;
+};
+
+TEST(ModelMemoTest, LruStaysWithinItsBudgetAndEvicts) {
+  // Memo budget: 8 MiB / 32 = 256 KiB; each entry is ~64 KB.
+  TransformCache cache(8 * 1024 * 1024);
+  ASSERT_EQ(cache.model_max_bytes(), 256u * 1024u);
+  const Dataset data = TestData(50, 4, 2);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_NE(cache.InsertModel(data, "m" + std::to_string(i),
+                                std::make_shared<SizedEstimator>(1000.0),
+                                ChargeTape{}),
+              nullptr);
+    EXPECT_LE(cache.Stats().model_bytes, cache.model_max_bytes());
+  }
+  TransformCacheStats stats = cache.Stats();
+  EXPECT_GT(stats.model_evictions, 0u);
+  EXPECT_GE(stats.model_bytes, 3u * 64000u);
+  // The most recent entry survived; the oldest was evicted.
+  EXPECT_NE(cache.LookupModel(data, "m5"), nullptr);
+  EXPECT_EQ(cache.LookupModel(data, "m0"), nullptr);
+  // The memo stays out of the chain entries' counters and bytes.
+  EXPECT_EQ(stats.entries + stats.bytes + stats.insertions, 0u);
+
+  // An entry larger than the whole memo, or of no finite size, is never
+  // admitted and counts as an eviction.
+  stats = cache.Stats();
+  EXPECT_EQ(cache.InsertModel(data, "huge",
+                              std::make_shared<SizedEstimator>(1e6),
+                              ChargeTape{}),
+            nullptr);
+  EXPECT_EQ(cache.InsertModel(
+                data, "nan",
+                std::make_shared<SizedEstimator>(
+                    std::numeric_limits<double>::quiet_NaN()),
+                ChargeTape{}),
+            nullptr);
+  EXPECT_EQ(cache.Stats().model_evictions, stats.model_evictions + 2);
+  EXPECT_EQ(cache.Stats().model_bytes, stats.model_bytes);
+  EXPECT_EQ(cache.LookupModel(data, "huge"), nullptr);
+}
+
+TEST(ModelMemoTest, TruncatedFitThatReturnsOkIsNotInserted) {
+  // knn's fit is one charge and polls nothing: a truncated fit still
+  // returns Ok, so only the truncation check keeps it out of the memo.
+  const Dataset train = TestData(120, 6, 2);
+  PipelineConfig config = MemoConfig(/*with_chain=*/false);
+  config.model = "knn";
+  config.params.clear();
+  auto built = BuildPipeline(config);
+  ASSERT_TRUE(built.ok());
+  Pipeline p = std::move(built).value();
+  EnergyModel model(MachineModel::Minimal());
+  TransformCache cache(64 * 1024 * 1024);
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  ctx.SetTransformCache(&cache);
+  CancelToken cancelled;
+  cancelled.Cancel();
+  ctx.SetMaxSliceSeconds(1e-12);
+  ctx.SetCancelToken(&cancelled);
+  EXPECT_TRUE(p.Fit(train, &ctx).ok());
+  EXPECT_TRUE(ctx.charge_truncated());
+  EXPECT_EQ(cache.Stats().model_misses, 1u);
+  EXPECT_EQ(cache.Stats().model_bytes, 0u);
+
+  // A complete fit of the same config misses, then is memoized.
+  VirtualClock clean_clock;
+  ExecutionContext clean(&clean_clock, &model, 1);
+  clean.SetTransformCache(&cache);
+  Pipeline again = std::move(BuildPipeline(config)).value();
+  ASSERT_TRUE(again.Fit(train, &clean).ok());
+  EXPECT_EQ(cache.Stats().model_hits, 0u);
+  EXPECT_EQ(cache.Stats().model_misses, 2u);
+  EXPECT_GT(cache.Stats().model_bytes, 0u);
+}
+
+TEST(ModelMemoTest, CancelledFitIsNotInsertedAndCancelledHitFails) {
+  const Dataset base = TestData(160, 6, 2);
+  const Dataset train = base.Subset(Range(0, 120));
+  const PipelineConfig config = MemoConfig(/*with_chain=*/false);
+  EnergyModel model(MachineModel::Minimal());
+  TransformCache cache(64 * 1024 * 1024);
+  CancelToken cancelled;
+  cancelled.Cancel();
+  auto fit = [&](bool cancel, Pipeline* p) {
+    VirtualClock clock;
+    ExecutionContext ctx(&clock, &model, 1);
+    ctx.SetTransformCache(&cache);
+    if (cancel) {
+      // Every charge spans many slices, so the first one truncates.
+      ctx.SetMaxSliceSeconds(1e-12);
+      ctx.SetCancelToken(&cancelled);
+    }
+    auto built = BuildPipeline(config);
+    EXPECT_TRUE(built.ok());
+    *p = std::move(built).value();
+    return p->Fit(train, &ctx);
+  };
+
+  Pipeline truncated;
+  EXPECT_EQ(fit(true, &truncated).code(), Status::Code::kDeadlineExceeded);
+  EXPECT_FALSE(truncated.fitted());
+  EXPECT_EQ(cache.Stats().model_misses, 1u);
+  EXPECT_EQ(cache.Stats().model_bytes, 0u);
+
+  Pipeline complete;
+  ASSERT_TRUE(fit(false, &complete).ok());
+  EXPECT_EQ(cache.Stats().model_misses, 2u);
+  EXPECT_GT(cache.Stats().model_bytes, 0u);
+
+  Pipeline replayed;
+  EXPECT_EQ(fit(true, &replayed).code(), Status::Code::kDeadlineExceeded);
+  EXPECT_EQ(cache.Stats().model_hits, 1u);
+  EXPECT_FALSE(replayed.fitted());
+  EXPECT_NE(replayed.model(), complete.model());  // Nothing adopted.
+}
+
+TEST(ModelMemoTest, MemoAdoptedPipelineRefusesRefit) {
+  const Dataset train = TestData(80, 5, 2);
+  const Dataset test = TestData(20, 5, 2, /*seed=*/8);
+  TransformCache cache(64 * 1024 * 1024);
+  const PipelineConfig config = MemoConfig(/*with_chain=*/false);
+  MemoRun donor = FitAndScore(config, train, test, &cache);
+  MemoRun adopter = FitAndScore(config, train, test, &cache);
+  ASSERT_EQ(adopter.pipeline.model(), donor.pipeline.model());
+
+  EnergyModel model(MachineModel::Minimal());
+  VirtualClock clock;
+  ExecutionContext ctx(&clock, &model, 1);
+  // Both share the memoized model now, even without a cache on the
+  // context: a refit would mutate it under the other's feet.
+  for (Pipeline* p : {&donor.pipeline, &adopter.pipeline}) {
+    EXPECT_EQ(p->Fit(train, &ctx).code(),
+              Status::Code::kFailedPrecondition);
+  }
+  EXPECT_EQ(clock.Now(), 0.0);
+}
+
 // --- Config signatures -----------------------------------------------
 
 TEST(ConfigSignatureTest, HyperparametersAreEncoded) {
@@ -588,6 +930,35 @@ TEST(TransformCacheSweepTest, RecordsIdenticalAcrossWorkerCounts) {
   ASSERT_TRUE(records_par.ok());
   EXPECT_EQ(SerializeAll(records_seq.value()),
             SerializeAll(records_par.value()));
+}
+
+TEST(ModelMemoTest, SweepRecordsIdenticalCacheOnOffAndAcrossJobs) {
+  // The same cells at two budgets: the larger budget's search replays
+  // the smaller one's, so its model fits hit the memo.
+  const std::vector<std::string> systems = {"caml", "flaml"};
+  const std::vector<double> budgets = {10.0, 30.0};
+  std::string reference;
+  for (int jobs : {1, 2}) {
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "jobs " << jobs << ", cache " << cached);
+      ExperimentConfig config = SmallSweepConfig();
+      config.jobs = jobs;
+      config.transform_cache = cached;
+      ExperimentRunner runner(config);
+      auto records = runner.Sweep(systems, budgets);
+      ASSERT_TRUE(records.ok());
+      const std::string serialized = SerializeAll(records.value());
+      if (reference.empty()) reference = serialized;
+      EXPECT_EQ(serialized, reference);
+      const TransformCacheStats stats = runner.transform_cache_stats();
+      if (cached) {
+        EXPECT_GT(stats.model_hits, 0u);
+      } else {
+        EXPECT_EQ(stats.model_hits + stats.model_misses, 0u);
+      }
+    }
+  }
 }
 
 TEST(TransformCacheSweepTest, EnvKnobsParse) {
