@@ -25,6 +25,9 @@
 #include "green/ml/models/gradient_boosting.h"
 #include "green/ml/models/knn.h"
 #include "green/ml/models/random_forest.h"
+#include "green/ml/preprocess/imputer.h"
+#include "green/ml/preprocess/one_hot.h"
+#include "green/ml/preprocess/scaler.h"
 #include "green/ml/transform_cache.h"
 #include "green/search/caruana.h"
 #include "green/search/rf_surrogate.h"
@@ -151,6 +154,44 @@ void BM_RandomForestPredict(benchmark::State& state) {
                           static_cast<int64_t>(data.num_rows()));
 }
 BENCHMARK(BM_RandomForestPredict)->Arg(8)->Arg(32);
+
+// The serving path's per-batch cost: a fitted imputer -> scaler ->
+// one_hot -> random_forest pipeline predicting a 1- or 8-row view of a
+// dataset with categorical columns. Arg = batch rows.
+void BM_ServeBatchPredict(benchmark::State& state) {
+  SyntheticSpec spec;
+  spec.name = "serve";
+  spec.num_rows = 400;
+  spec.num_features = 12;
+  spec.num_informative = 7;
+  spec.num_categorical = 3;
+  spec.num_classes = 3;
+  spec.seed = 99;
+  const Dataset data = std::move(GenerateSynthetic(spec)).value();
+  Ctx c;
+  Pipeline pipeline;
+  pipeline.AddTransformer(std::make_unique<MeanModeImputer>());
+  pipeline.AddTransformer(std::make_unique<Scaler>(ScalerKind::kStandard));
+  pipeline.AddTransformer(std::make_unique<OneHotEncoder>());
+  RandomForestParams params;
+  params.num_trees = 8;
+  pipeline.SetModel(std::make_unique<RandomForest>(params));
+  if (!pipeline.Fit(data, &c.ctx).ok()) {
+    state.SkipWithError("fit failed");
+    return;
+  }
+  const size_t rows = static_cast<size_t>(state.range(0));
+  std::vector<size_t> index(rows);
+  size_t next = 0;
+  for (auto _ : state) {
+    for (size_t& r : index) r = next++ % data.num_rows();
+    benchmark::DoNotOptimize(pipeline.PredictProba(data.Subset(index),
+                                                   &c.ctx));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_ServeBatchPredict)->Arg(1)->Arg(8);
 
 void BM_GradientBoostingFit(benchmark::State& state) {
   const Dataset data = BenchData(300, 12, 2);

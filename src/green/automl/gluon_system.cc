@@ -194,30 +194,11 @@ Result<AutoMlRunResult> GluonSystem::Fit(const Dataset& train,
   }
 
   // --- Layer 2: stacker models on [X | OOF probabilities].
-  const size_t aug_width = train.num_features() + base_members.size() *
-                                                       k_classes;
-  Dataset augmented = Dataset::Like(train, train.name(), aug_width);
-  augmented.SetNominalSize(train.nominal_rows(), train.nominal_features());
-  for (size_t j = 0; j < train.num_features(); ++j) {
-    augmented.SetFeatureType(j, train.feature_type(j));
-  }
+  Dataset augmented;
   {
     ChargeScope phase(ctx, "stacking");
-    augmented.Reserve(n);
-    std::vector<double> row(aug_width);
-    for (size_t i = 0; i < n; ++i) {
-      const double* p = train.RowPtr(i);
-      std::copy(p, p + train.num_features(), row.begin());
-      size_t o = train.num_features();
-      for (size_t m = 0; m < base_members.size(); ++m) {
-        for (size_t c = 0; c < k_classes; ++c) {
-          row[o++] = base_oof[m][i][c];
-        }
-      }
-      GREEN_RETURN_IF_ERROR(augmented.AppendRowLike(train, i, row));
-    }
-    ctx->ChargeCpu(static_cast<double>(n * aug_width),
-                   augmented.FeatureBytes());
+    GREEN_ASSIGN_OR_RETURN(
+        augmented, StackProbabilities(train, base_oof, k_classes, ctx));
   }
 
   TrainTestIndices meta_split = SplitForTask(augmented, 0.75, &rng);

@@ -12,7 +12,8 @@ namespace green {
 /// followed by "label" (classification) or "target" (regression);
 /// categorical columns are marked by a "#cat" suffix in the header;
 /// missing values are empty fields. Targets parse strictly — a
-/// non-numeric target is an error, never a silent 0.
+/// non-numeric target is an error, never a silent 0. A "#cat" cell must
+/// hold an integer code in [0, kMaxCategoryCode], as a label must.
 Status WriteCsv(const Dataset& data, const std::string& path);
 
 /// Parses a CSV written by WriteCsv (or hand-authored with the same

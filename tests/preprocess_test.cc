@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "green/common/rng.h"
+#include "green/common/stringutil.h"
 #include "green/ml/preprocess/feature_selection.h"
 #include "green/ml/preprocess/imputer.h"
 #include "green/ml/preprocess/one_hot.h"
@@ -178,6 +183,172 @@ TEST_F(PreprocessTest, OneHotOutputWidthHelper) {
   EXPECT_EQ(encoder.OutputWidth(7), 7u);  // Before fit: identity.
 }
 
+TEST_F(PreprocessTest, OneHotOutputNamesOnFittedAndOtherSchemas) {
+  Dataset train("o", 2, 2);
+  train.SetFeatureType(1, FeatureType::kCategorical);
+  ASSERT_TRUE(train.AppendRow({1.5, 0.0}, 0).ok());
+  ASSERT_TRUE(train.AppendRow({2.5, 1.0}, 1).ok());
+  OneHotEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(train, &ctx_).ok());
+  const std::vector<std::string> fitted_names = {"f0", "f1=0", "f1=1"};
+
+  // Fitted-schema path: a view of the fit input, and a fresh dataset
+  // with equal columns, share one output schema.
+  auto a = encoder.Transform(train.Subset({1}), &ctx_);
+  Dataset same("o", 2, 2);
+  same.SetFeatureType(1, FeatureType::kCategorical);
+  ASSERT_TRUE(same.AppendRow({3.5, 1.0}, 0).ok());
+  auto b = encoder.Transform(same, &ctx_);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->schema()->names, fitted_names);
+  EXPECT_EQ(a->schema(), b->schema());
+  EXPECT_EQ(b->feature_type(2), FeatureType::kNumeric);
+
+  // A differently named input gets its own names, and the fitted
+  // schema is left as it was.
+  Dataset named = same;
+  named.SetFeatureName(0, "size");
+  named.SetFeatureName(1, "colour");
+  auto c = encoder.Transform(named, &ctx_);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->schema()->names,
+            (std::vector<std::string>{"size", "colour=0", "colour=1"}));
+  EXPECT_DOUBLE_EQ(c->At(0, 2), 1.0);
+  auto again = encoder.Transform(train, &ctx_);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->schema()->names, fitted_names);
+}
+
+// Codes past the int range or non-finite are undefined behaviour to cast;
+// the encoder treats them as high-cardinality (fit) or unseen (transform).
+TEST_F(PreprocessTest, OneHotHostileCodes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double hostile : {2147483647.0, 1e300, inf}) {
+    Dataset data("o", 1, 2);
+    data.SetFeatureType(0, FeatureType::kCategorical);
+    ASSERT_TRUE(data.AppendRow({0.0}, 0).ok());
+    ASSERT_TRUE(data.AppendRow({1.0}, 1).ok());
+    ASSERT_TRUE(data.AppendRow({hostile}, 0).ok());
+    OneHotEncoder encoder;
+    ASSERT_TRUE(encoder.Fit(data, &ctx_).ok());
+    EXPECT_EQ(encoder.output_width(), 1u) << hostile;  // Passed through.
+  }
+  Dataset train("o", 1, 2);
+  train.SetFeatureType(0, FeatureType::kCategorical);
+  ASSERT_TRUE(train.AppendRow({0.0}, 0).ok());
+  ASSERT_TRUE(train.AppendRow({1.0}, 1).ok());
+  ASSERT_TRUE(train.AppendRow({-inf}, 1).ok());  // Negative: unseen.
+  OneHotEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(train, &ctx_).ok());
+  ASSERT_EQ(encoder.output_width(), 2u);
+  Dataset test("o", 1, 2);
+  test.SetFeatureType(0, FeatureType::kCategorical);
+  for (double hostile : {2147483647.0, 1e300, inf, -inf, -5.0}) {
+    ASSERT_TRUE(test.AppendRow({hostile}, 0).ok());
+  }
+  auto out = encoder.Transform(test, &ctx_);
+  ASSERT_TRUE(out.ok());
+  for (size_t r = 0; r < out->num_rows(); ++r) {
+    EXPECT_DOUBLE_EQ(out->At(r, 0), 0.0);
+    EXPECT_DOUBLE_EQ(out->At(r, 1), 0.0);
+  }
+}
+
+TEST_F(PreprocessTest, ImputerIgnoresHostileCodes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset data("m", 1, 2);
+  data.SetFeatureType(0, FeatureType::kCategorical);
+  for (double v : std::vector<double>{2147483647.0, 2147483647.0, 1e300,
+                                      1e300, inf, inf, -inf, 3.0, NAN}) {
+    ASSERT_TRUE(data.AppendRow({v}, 0).ok());
+  }
+  MeanModeImputer imputer;
+  ASSERT_TRUE(imputer.Fit(data, &ctx_).ok());
+  auto out = imputer.Transform(data, &ctx_);
+  ASSERT_TRUE(out.ok());
+  EXPECT_DOUBLE_EQ(out->At(8, 0), 3.0);  // The only in-range code.
+}
+
+// One fitted imputer -> scaler -> one_hot chain transforms batches on two
+// threads while two more construct datasets of the same widths (sharing
+// the per-thread default schemas); every output must match the
+// single-threaded reference bit for bit.
+TEST_F(PreprocessTest, SharedChainTransformsConcurrently) {
+  Dataset train("c", 3, 2);
+  train.SetFeatureType(2, FeatureType::kCategorical);
+  Rng rng(7);
+  for (int i = 0; i < 64; ++i) {
+    const double x = i % 9 == 0 ? NAN : rng.NextGaussian();
+    ASSERT_TRUE(train
+                    .AppendRow({x, rng.NextGaussian(),
+                                static_cast<double>(i % 4)},
+                               i % 2)
+                    .ok());
+  }
+  MeanModeImputer imputer;
+  Scaler scaler(ScalerKind::kStandard);
+  OneHotEncoder encoder;
+  Dataset fitted = train;
+  ASSERT_TRUE(imputer.Fit(fitted, &ctx_).ok());
+  fitted = *imputer.Transform(fitted, &ctx_);
+  ASSERT_TRUE(scaler.Fit(fitted, &ctx_).ok());
+  fitted = *scaler.Transform(fitted, &ctx_);
+  ASSERT_TRUE(encoder.Fit(fitted, &ctx_).ok());
+
+  auto run = [&](const Dataset& batch, ExecutionContext* ctx) {
+    Dataset d = *imputer.Transform(batch, ctx);
+    d = *scaler.Transform(d, ctx);
+    return *encoder.Transform(d, ctx);
+  };
+  std::vector<Dataset> batches;
+  for (size_t start = 0; start + 8 <= train.num_rows(); start += 8) {
+    batches.push_back(train.Subset({start}));
+    std::vector<size_t> rows(8);
+    for (size_t r = 0; r < 8; ++r) rows[r] = start + r;
+    batches.push_back(train.Subset(rows));
+  }
+  std::vector<Dataset> expected;
+  for (const Dataset& batch : batches) expected.push_back(run(batch, &ctx_));
+
+  constexpr int kRounds = 50;
+  std::vector<int> mismatches(2, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      VirtualClock clock;
+      ExecutionContext ctx(&clock, &model_, 1);
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t b = 0; b < batches.size(); ++b) {
+          const Dataset out = run(batches[b], &ctx);
+          const Dataset& want = expected[b];
+          const size_t cells = want.num_rows() * want.num_features();
+          if (out.num_features() != want.num_features() ||
+              out.num_rows() != want.num_rows() ||
+              std::memcmp(out.RowPtr(0), want.RowPtr(0),
+                          cells * sizeof(double)) != 0 ||
+              out.schema()->names != want.schema()->names) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([] {
+      for (int round = 0; round < kRounds * 8; ++round) {
+        for (size_t width : {3u, 6u}) {
+          Dataset d("noise", width, 2);
+          if (d.feature_name(width - 1) != StrFormat("f%zu", width - 1)) {
+            ADD_FAILURE() << "default schema corrupted";
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(2, 0));
+}
+
 // --- VarianceThreshold ---
 
 TEST_F(PreprocessTest, VarianceThresholdDropsConstant) {
@@ -230,6 +401,27 @@ TEST_F(PreprocessTest, SelectKBestCapsAtWidth) {
   ASSERT_TRUE(selector.Fit(data, &ctx_).ok());
   EXPECT_EQ(selector.kept_columns().size(), 2u);
   EXPECT_EQ(selector.OutputWidth(2), 2u);
+}
+
+TEST_F(PreprocessTest, SelectorsKeepColumnNames) {
+  Dataset data("v", 3, 2);
+  data.SetFeatureType(2, FeatureType::kCategorical);
+  ASSERT_TRUE(data.AppendRow({1.0, 5.0, 0.0}, 0).ok());
+  ASSERT_TRUE(data.AppendRow({2.0, 5.0, 1.0}, 1).ok());
+  VarianceThreshold selector(0.0);
+  ASSERT_TRUE(selector.Fit(data, &ctx_).ok());
+  auto fitted = selector.Transform(data.Subset({1, 0}), &ctx_);
+  ASSERT_TRUE(fitted.ok());
+  EXPECT_EQ(fitted->schema()->names,
+            (std::vector<std::string>{"f0", "f2"}));
+  EXPECT_EQ(fitted->feature_type(1), FeatureType::kCategorical);
+  EXPECT_DOUBLE_EQ(fitted->At(0, 1), 1.0);
+  Dataset named = data;
+  named.SetFeatureName(2, "colour");
+  auto renamed = selector.Transform(named, &ctx_);
+  ASSERT_TRUE(renamed.ok());
+  EXPECT_EQ(renamed->feature_name(1), "colour");
+  EXPECT_EQ(renamed->feature_type(1), FeatureType::kCategorical);
 }
 
 TEST_F(PreprocessTest, SelectorsRequireFit) {
