@@ -353,7 +353,8 @@ TEST(PresortMemoTest, DifferentStorageViewOrWidthMisses) {
   const Dataset view_a = base.Subset({1, 2, 3, 4, 5, 6});
   const Dataset view_b = base.Subset({1, 2, 3, 4, 5, 7});
   const Dataset twin = TestData(60, 5, 2);  // Equal cells, new storage.
-  const Dataset narrow = base.SelectFeatures({0, 1, 2});
+  const Dataset narrow =
+      base.SelectFeatures({0, 1, 2}, base.schema()->Select({0, 1, 2}));
   std::vector<size_t> all(base.num_rows());
   for (size_t r = 0; r < all.size(); ++r) all[r] = r;
   const Dataset identity_view = base.Subset(all);  // Indexed, not plain.
@@ -658,7 +659,8 @@ TEST(ModelMemoTest, EveryInputDifferenceMisses) {
   const Dataset view_a = base.Subset(Range(0, 40));
   const Dataset view_b = base.Subset(Range(1, 41));
   const Dataset twin = TestData(60, 5, 2).Subset(Range(0, 40));
-  const Dataset narrow = view_a.SelectFeatures({0, 1, 2});
+  const Dataset narrow =
+      view_a.SelectFeatures({0, 1, 2}, view_a.schema()->Select({0, 1, 2}));
   const Dataset identity_view = base.Subset(Range(0, base.num_rows()));
   const Dataset nominal = [&] {  // Same storage and view, larger task.
     Dataset copy = view_a;
