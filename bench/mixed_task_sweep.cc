@@ -270,14 +270,15 @@ int Main(int argc, char** argv) {
   // Simulate a crash: keep only the first half of the journal, then
   // resume. Loaded + re-run cells must reproduce the full faulted
   // stream byte-for-byte.
-  auto journal = ReadJournalJsonl(faulty_config.journal_path);
+  auto journal = ReadJournal(faulty_config.journal_path);
   if (!journal.ok()) {
     std::fprintf(stderr, "cannot read faulty journal: %s\n",
                  journal.status().ToString().c_str());
     return 1;
   }
-  std::vector<RunRecord> half(journal->begin(),
-                              journal->begin() + journal->size() / 2);
+  const std::vector<RunRecord>& journaled = journal->records;
+  std::vector<RunRecord> half(journaled.begin(),
+                              journaled.begin() + journaled.size() / 2);
   Status truncate =
       WriteRecordsJsonl(half, faulty_config.journal_path);
   if (!truncate.ok()) {

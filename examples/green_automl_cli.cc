@@ -37,6 +37,10 @@
 //                 host-time optimization — results are bit-identical
 //                 either way; budget via $GREEN_TRANSFORM_CACHE_MB
 //
+// Every flag and GREEN_* variable is parsed by one rule (see
+// src/green/common/knobs.h): numbers must parse in full and clamp to the
+// knob's range, bools are 0 or 1, and a malformed flag exits 2.
+//
 // Sweep mode (fault-tolerant, journaled):
 //   --sweep         comma-separated system list; runs a full suite sweep
 //                   over the AMLB subset instead of one dataset, with
@@ -93,17 +97,15 @@
 //                           byte-identical single-process record stream,
 //                           then exit
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/record_io.h"
 #include "green/bench_util/table_printer.h"
+#include "green/common/knobs.h"
 #include "green/common/stringutil.h"
-#include "green/common/thread_pool.h"
 #include "green/data/synthetic.h"
 #include "green/energy/co2.h"
 #include "green/energy/stage_ledger.h"
@@ -118,7 +120,7 @@ namespace {
 /// record, failures are retried and classified, completed cells land in
 /// the journal so an interrupted sweep restarts with --resume.
 int SweepMain(const std::string& sweep_systems,
-              const std::string& budgets_arg, ExperimentConfig config,
+              const std::string& budgets_arg, const ExperimentConfig& config,
               const std::string& json_path) {
   std::vector<std::string> systems;
   for (const std::string& s : Split(sweep_systems, ',')) {
@@ -131,13 +133,17 @@ int SweepMain(const std::string& sweep_systems,
   }
   std::vector<double> budgets;
   for (const std::string& b : Split(budgets_arg, ',')) {
-    const double budget = std::atof(std::string(Trim(b)).c_str());
-    if (budget > 0.0) budgets.push_back(budget);
+    if (Trim(b).empty()) continue;
+    const Result<double> budget = ParseRealKnob(Knob::kBudget, Trim(b));
+    if (!budget.ok()) {
+      std::fprintf(stderr, "--budgets: %s\n",
+                   budget.status().message().c_str());
+      return 2;
+    }
+    if (*budget > 0.0) budgets.push_back(*budget);
   }
   if (budgets.empty()) budgets = {10.0, 30.0, 60.0, 300.0};
 
-  // Sweeps run the AMLB subset, not the single-dataset CLI default.
-  config.dataset_limit = ExperimentConfig::FromEnv().dataset_limit;
   ExperimentRunner runner(config);
   auto records = runner.Sweep(systems, budgets);
   if (!records.ok()) {
@@ -331,148 +337,29 @@ int ServeMain(const std::string& system_name, double budget,
 }
 
 int Main(int argc, char** argv) {
-  std::string system_name = "caml";
-  double budget = 30.0;
-  std::string csv_path;
-  std::string json_path;
-  std::string sweep_systems;
-  std::string budgets_arg;
-  int cores = 1;
-  int jobs = JobsFromEnv();
-  double constraint = 0.0;
-  std::string journal_path = JournalFromEnv();
-  bool resume = ResumeFromEnv();
-  int retries = RetriesFromEnv();
-  double cell_timeout = CellTimeoutFromEnv();
-  bool transform_cache = TransformCacheFromEnv();
-  std::string faults = FaultsFromEnv();
-  bool breakdown = ScopesFromEnv();
-  std::string compact_path;
-  ShardSpec shard = ShardFromEnv();
+  KnobSettings knobs = KnobSettings::FromEnv();
   std::vector<std::string> merge_paths;
   std::string merge_out;
   bool merge_mode = false;
-  bool serve_mode = false;
-  ServePolicy serve_policy = ServePolicyFromEnv();
-  TraceSpec trace_spec;
-  trace_spec.kind = TraceSpec::Kind::kBurst;
-  trace_spec.rate_rps = 20.0;
-  trace_spec.duration_seconds = 30.0;
-  std::string trace_file;
-  std::string demo_task = "multiclass";
-
   for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (std::strcmp(argv[i], "--system") == 0) {
-      system_name = next();
-    } else if (std::strcmp(argv[i], "--budget") == 0) {
-      budget = std::atof(next());
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      csv_path = next();
-    } else if (std::strcmp(argv[i], "--task") == 0) {
-      demo_task = next();
-      if (!ParseTaskType(demo_task).ok()) {
-        std::fprintf(stderr,
-                     "--task: want binary|multiclass|regression, got "
-                     "\"%s\"\n",
-                     demo_task.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = next();
-    } else if (std::strcmp(argv[i], "--cores") == 0) {
-      cores = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(next());
-      if (jobs <= 0) jobs = ThreadPool::DefaultThreads();
-    } else if (std::strcmp(argv[i], "--constraint") == 0) {
-      constraint = std::atof(next());
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep_systems = next();
-    } else if (std::strcmp(argv[i], "--budgets") == 0) {
-      budgets_arg = next();
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      journal_path = next();
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--retries") == 0) {
-      retries = std::max(1, std::atoi(next()));
-    } else if (std::strcmp(argv[i], "--cell-timeout") == 0) {
-      cell_timeout = std::max(0.0, std::atof(next()));
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      faults = next();
-    } else if (std::strcmp(argv[i], "--breakdown") == 0) {
-      breakdown = true;
-    } else if (std::strcmp(argv[i], "--transform-cache") == 0) {
-      transform_cache = std::atoi(next()) != 0;
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      serve_mode = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      auto kind = TraceKindFromName(next());
-      if (!kind.ok()) {
-        std::fprintf(stderr, "--trace: %s\n",
-                     kind.status().ToString().c_str());
-        return 2;
-      }
-      trace_spec.kind = *kind;
-    } else if (std::strcmp(argv[i], "--trace-file") == 0) {
-      trace_file = next();
-    } else if (std::strcmp(argv[i], "--rps") == 0) {
-      trace_spec.rate_rps = std::atof(next());
-    } else if (std::strcmp(argv[i], "--trace-seconds") == 0) {
-      trace_spec.duration_seconds = std::atof(next());
-    } else if (std::strcmp(argv[i], "--serve-queue") == 0) {
-      serve_policy.queue_capacity = static_cast<size_t>(
-          std::clamp(std::atol(next()), 1L, 1L << 20));
-    } else if (std::strcmp(argv[i], "--serve-batch") == 0) {
-      serve_policy.max_batch =
-          static_cast<size_t>(std::clamp(std::atol(next()), 1L, 4096L));
-    } else if (std::strcmp(argv[i], "--serve-batch-delay-ms") == 0) {
-      serve_policy.batch_delay_seconds =
-          std::clamp(std::atof(next()), 0.0, 60000.0) / 1e3;
-    } else if (std::strcmp(argv[i], "--serve-deadline-ms") == 0) {
-      serve_policy.deadline_seconds =
-          std::clamp(std::atof(next()), 0.0, 3600000.0) / 1e3;
-    } else if (std::strcmp(argv[i], "--serve-energy-slo-j") == 0) {
-      serve_policy.energy_slo_joules =
-          std::clamp(std::atof(next()), 0.0, 1e12);
-    } else if (std::strcmp(argv[i], "--serve-policy") == 0) {
-      auto action = DeadlineActionFromName(next());
-      if (!action.ok()) {
-        std::fprintf(stderr, "--serve-policy: %s\n",
-                     action.status().ToString().c_str());
-        return 2;
-      }
-      serve_policy.on_deadline = *action;
-    } else if (std::strcmp(argv[i], "--serve-shed") == 0) {
-      auto shed_policy = ShedPolicyFromName(next());
-      if (!shed_policy.ok()) {
-        std::fprintf(stderr, "--serve-shed: %s\n",
-                     shed_policy.status().ToString().c_str());
-        return 2;
-      }
-      serve_policy.shed = *shed_policy;
-    } else if (std::strcmp(argv[i], "--compact-journal") == 0) {
-      compact_path = next();
-    } else if (std::strcmp(argv[i], "--shard") == 0) {
-      auto parsed = ParseShardSpec(next());
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "--shard: %s\n",
-                     parsed.status().ToString().c_str());
-        return 2;
-      }
-      shard = *parsed;
-    } else if (std::strcmp(argv[i], "--merge-journals") == 0) {
+    if (std::strcmp(argv[i], "--merge-journals") == 0) {
       merge_mode = true;
       while (i + 1 < argc && std::strcmp(argv[i + 1], "-o") != 0) {
         merge_paths.push_back(argv[++i]);
       }
       if (i + 1 < argc) ++i;  // Consume "-o".
-      merge_out = next();
-    } else {
+      merge_out = i + 1 < argc ? argv[++i] : "";
+      continue;
+    }
+    const KnobSpec* spec = FindKnobFlag(argv[i]);
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 2;
+    }
+    const char* text = spec->bare ? "1" : i + 1 < argc ? argv[++i] : "";
+    const Status set = knobs.SetFlag(spec->knob, text);
+    if (!set.ok()) {
+      std::fprintf(stderr, "%s\n", set.message().c_str());
       return 2;
     }
   }
@@ -495,6 +382,7 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
+  const std::string compact_path = knobs.Text(Knob::kCompactJournal);
   if (!compact_path.empty()) {
     auto removed = CompactJournalJsonl(compact_path);
     if (!removed.ok()) {
@@ -507,23 +395,34 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  ExperimentConfig config;
-  config.dataset_limit = 1;  // The runner's suite is unused here.
-  config.cores = cores;
-  config.jobs = jobs;  // Harness sweep threads (RunOne itself is 1 cell).
-  config.journal_path = journal_path;
-  config.resume = resume;
-  config.retry.max_attempts = retries;
-  config.cell_timeout_seconds = cell_timeout;
-  config.faults = faults;
-  config.collect_scopes = breakdown;
-  config.transform_cache = transform_cache;
-  config.transform_cache_mb = TransformCacheMbFromEnv();
-  config.shard_index = shard.index;
-  config.shard_count = shard.count;
+  ExperimentConfig config = ExperimentConfig::FromKnobs(knobs);
+  const Result<ServePolicy> serve_policy = ServePolicyFromKnobs(knobs);
+  const Result<TraceSpec::Kind> trace_kind =
+      knobs.Enum(Knob::kTraceKind, TraceSpec::Kind::kBurst, TraceKindFromName);
+  const Result<TaskType> demo_task =
+      knobs.Enum(Knob::kTask, TaskType::kMulticlass, ParseTaskType);
+  for (const Status& status :
+       {serve_policy.status(), trace_kind.status(), demo_task.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.message().c_str());
+      return 2;
+    }
+  }
+  const std::string system_name = knobs.Text(Knob::kSystem, "caml");
+  const double budget = knobs.Real(Knob::kBudget, 30.0);
+  const double constraint = knobs.Real(Knob::kConstraint, 0.0);
+  const std::string csv_path = knobs.Text(Knob::kCsv);
+  const std::string json_path = knobs.Text(Knob::kJson);
+  const std::string sweep_systems = knobs.Text(Knob::kSweep);
+  // GREEN_FULL widens a sweep to all tasks and the full profile, but the
+  // CLI keeps its own repetition count, and a single run needs no suite.
+  config.repetitions = ExperimentConfig().repetitions;
+  if (sweep_systems.empty()) config.dataset_limit = 1;
+  config.cores = static_cast<int>(knobs.Integer(Knob::kCores, 1));
 
   if (!sweep_systems.empty()) {
-    return SweepMain(sweep_systems, budgets_arg, config, json_path);
+    return SweepMain(sweep_systems, knobs.Text(Knob::kBudgets), config,
+                     json_path);
   }
   ExperimentRunner runner(config);
 
@@ -536,7 +435,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
     dataset = std::move(loaded).value();
-  } else if (demo_task == "regression") {
+  } else if (*demo_task == TaskType::kRegression) {
     SyntheticRegressionSpec spec;
     spec.name = "demo_regression";
     spec.num_rows = 500;
@@ -555,7 +454,7 @@ int Main(int argc, char** argv) {
     spec.num_features = 12;
     spec.num_informative = 7;
     spec.num_categorical = 3;
-    spec.num_classes = demo_task == "binary" ? 2 : 3;
+    spec.num_classes = *demo_task == TaskType::kBinary ? 2 : 3;
     spec.separation = 2.2;
     spec.label_noise = 0.05;
     spec.seed = 4242;
@@ -563,15 +462,20 @@ int Main(int argc, char** argv) {
     std::printf("(no --csv given: using a built-in synthetic demo task)\n");
   }
 
-  if (serve_mode) {
+  if (knobs.Bool(Knob::kServe, false)) {
+    TraceSpec trace_spec;
+    trace_spec.kind = *trace_kind;
+    trace_spec.rate_rps = knobs.Real(Knob::kRps, 20.0);
+    trace_spec.duration_seconds = knobs.Real(Knob::kTraceSeconds, 30.0);
     trace_spec.seed = config.seed;
-    return ServeMain(system_name, budget, dataset, runner, serve_policy,
-                     trace_spec, trace_file, breakdown);
+    return ServeMain(system_name, budget, dataset, runner, *serve_policy,
+                     trace_spec, knobs.Text(Knob::kTraceFile),
+                     config.collect_scopes);
   }
 
   // One full measured run through the same harness the benches use.
   // The inference constraint needs the lower-level API.
-  auto record = runner.RunOne(system_name, dataset, budget, 0, cores);
+  auto record = runner.RunOne(system_name, dataset, budget, 0, config.cores);
   if (!record.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  record.status().ToString().c_str());
@@ -605,7 +509,7 @@ int Main(int argc, char** argv) {
   std::printf("ensemble size     : %zu pipeline(s), %d evaluated\n",
               record->num_pipelines, record->pipelines_evaluated);
 
-  if (breakdown) {
+  if (config.collect_scopes) {
     const std::string table = RenderEnergyBreakdown({*record});
     if (!table.empty()) std::printf("\n%s", table.c_str());
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <thread>
@@ -26,94 +25,35 @@
 
 namespace green {
 
-int JobsFromEnv() {
-  const char* jobs = std::getenv("GREEN_JOBS");
-  if (jobs == nullptr || jobs[0] == '\0') return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(jobs, &end, 10);
-  if (end == jobs || *end != '\0') return 1;
-  if (parsed == 0) return ThreadPool::DefaultThreads();
-  // Clamp before narrowing: LONG_MAX would overflow the int cast.
-  return static_cast<int>(std::clamp(parsed, 1L, 4096L));
-}
-
-std::string FaultsFromEnv() {
-  const char* faults = std::getenv("GREEN_FAULTS");
-  return faults == nullptr ? std::string() : std::string(faults);
-}
-
-std::string JournalFromEnv() {
-  const char* journal = std::getenv("GREEN_JOURNAL");
-  return journal == nullptr ? std::string() : std::string(journal);
-}
-
-bool ResumeFromEnv() {
-  const char* resume = std::getenv("GREEN_RESUME");
-  return resume != nullptr && resume[0] == '1';
-}
-
-int RetriesFromEnv() {
-  const int fallback = RetryPolicy().max_attempts;
-  const char* retries = std::getenv("GREEN_RETRIES");
-  if (retries == nullptr || retries[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(retries, &end, 10);
-  if (end == retries || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp(parsed, 1L, 100L));
-}
-
-double CellTimeoutFromEnv() {
-  const char* timeout = std::getenv("GREEN_CELL_TIMEOUT");
-  if (timeout == nullptr || timeout[0] == '\0') return 0.0;
-  char* end = nullptr;
-  const double parsed = std::strtod(timeout, &end);
-  if (end == timeout || *end != '\0') return 0.0;
-  if (!(parsed > 0.0)) return 0.0;  // Rejects negatives and NaN.
-  return parsed;
-}
-
-bool ScopesFromEnv() {
-  const char* scopes = std::getenv("GREEN_SCOPES");
-  return scopes != nullptr && scopes[0] == '1';
-}
-
-bool TransformCacheFromEnv() {
-  const char* cache = std::getenv("GREEN_TRANSFORM_CACHE");
-  return cache == nullptr || cache[0] != '0';
-}
-
-double TransformCacheMbFromEnv() {
-  const double fallback = ExperimentConfig().transform_cache_mb;
-  const char* mb = std::getenv("GREEN_TRANSFORM_CACHE_MB");
-  if (mb == nullptr || mb[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(mb, &end);
-  if (end == mb || *end != '\0') return fallback;
-  if (!(parsed >= 1.0)) return fallback;  // Rejects < 1, NaN.
-  return std::min(parsed, 65536.0);
-}
-
-ExperimentConfig ExperimentConfig::FromEnv() {
+ExperimentConfig ExperimentConfig::FromKnobs(const KnobSettings& knobs) {
   ExperimentConfig config;
-  config.profile = SimulationProfile::FromEnv();
-  const char* full = std::getenv("GREEN_FULL");
-  if (full != nullptr && full[0] == '1') {
+  if (knobs.Bool(Knob::kFull, false)) {
+    config.profile = SimulationProfile::Full();
     config.dataset_limit = 0;  // All 39 tasks.
     config.repetitions = 10;
   }
-  config.jobs = JobsFromEnv();
-  config.faults = FaultsFromEnv();
-  config.journal_path = JournalFromEnv();
-  config.resume = ResumeFromEnv();
-  config.retry.max_attempts = RetriesFromEnv();
-  config.cell_timeout_seconds = CellTimeoutFromEnv();
-  config.collect_scopes = ScopesFromEnv();
-  config.transform_cache = TransformCacheFromEnv();
-  config.transform_cache_mb = TransformCacheMbFromEnv();
-  const ShardSpec shard = ShardFromEnv();
+  config.jobs = static_cast<int>(knobs.Integer(Knob::kJobs, config.jobs));
+  const ShardSpec shard =
+      knobs.Enum(Knob::kShard, ShardSpec{}, ParseShardSpec).value();
   config.shard_index = shard.index;
   config.shard_count = shard.count;
+  config.faults = knobs.Text(Knob::kFaults);
+  config.journal_path = knobs.Text(Knob::kJournal);
+  config.resume = knobs.Bool(Knob::kResume, config.resume);
+  config.retry.max_attempts = static_cast<int>(
+      knobs.Integer(Knob::kRetries, config.retry.max_attempts));
+  config.cell_timeout_seconds =
+      knobs.Real(Knob::kCellTimeout, config.cell_timeout_seconds);
+  config.collect_scopes = knobs.Bool(Knob::kScopes, config.collect_scopes);
+  config.transform_cache =
+      knobs.Bool(Knob::kTransformCache, config.transform_cache);
+  config.transform_cache_mb =
+      knobs.Real(Knob::kTransformCacheMb, config.transform_cache_mb);
   return config;
+}
+
+ExperimentConfig ExperimentConfig::FromEnv() {
+  return FromKnobs(KnobSettings::FromEnv());
 }
 
 const char* RunOutcomeName(RunOutcome outcome) {
@@ -694,7 +634,8 @@ Result<std::vector<RunRecord>> ExperimentRunner::Sweep(
   if (watchdog_enabled) {
     const int64_t allowance_ns =
         static_cast<int64_t>(config_.cell_timeout_seconds * 1e9);
-    watchdog = std::thread([&] {
+    // By value: allowance_ns goes out of scope while the thread runs.
+    watchdog = std::thread([&, allowance_ns] {
       while (!watchdog_stop.load(std::memory_order_acquire)) {
         const int64_t now =
             std::chrono::duration_cast<std::chrono::nanoseconds>(

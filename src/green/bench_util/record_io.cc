@@ -473,11 +473,6 @@ Result<JournalContents> ReadJournal(const std::string& path) {
   return contents;
 }
 
-Result<std::vector<RunRecord>> ReadJournalJsonl(const std::string& path) {
-  GREEN_ASSIGN_OR_RETURN(JournalContents contents, ReadJournal(path));
-  return std::move(contents.records);
-}
-
 Result<size_t> CompactJournalJsonl(const std::string& path) {
   GREEN_ASSIGN_OR_RETURN(JournalContents contents, ReadJournal(path));
   size_t removed = 0;

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "green/common/logging.h"
 #include "green/common/stringutil.h"
 
 namespace green {
@@ -38,17 +37,6 @@ Result<ShardSpec> ParseShardSpec(std::string_view spec) {
   out.index = static_cast<int>(index);
   out.count = static_cast<int>(count);
   return out;
-}
-
-ShardSpec ShardFromEnv() {
-  const char* spec = std::getenv("GREEN_SHARD");
-  if (spec == nullptr || spec[0] == '\0') return ShardSpec{};
-  Result<ShardSpec> parsed = ParseShardSpec(spec);
-  if (!parsed.ok()) {
-    LogWarning("ignoring GREEN_SHARD: " + parsed.status().ToString());
-    return ShardSpec{};
-  }
-  return *parsed;
 }
 
 }  // namespace green

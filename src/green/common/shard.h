@@ -41,10 +41,6 @@ struct ShardSpec {
 /// garbage, negatives, i >= n, and trailing characters.
 Result<ShardSpec> ParseShardSpec(std::string_view spec);
 
-/// GREEN_SHARD: "i/n"; unset or unparseable (with a warning) = the
-/// unsharded {0, 1}.
-ShardSpec ShardFromEnv();
-
 }  // namespace green
 
 #endif  // GREEN_COMMON_SHARD_H_

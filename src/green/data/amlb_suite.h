@@ -35,8 +35,6 @@ struct SimulationProfile {
 
   static SimulationProfile Fast();
   static SimulationProfile Full();
-  /// Fast() unless the environment variable GREEN_FULL=1 is set.
-  static SimulationProfile FromEnv();
 };
 
 /// The 39 specs of Table 2, in the paper's order.

@@ -1,36 +1,28 @@
 #include "green/ml/kernels/kernels.h"
 
 #include <atomic>
-#include <cstdlib>
+
+#include "green/common/knobs.h"
 
 namespace green {
 
 namespace {
 
-bool KernelsFromEnv() {
-  const char* raw = std::getenv("GREEN_KERNELS");
-  return raw == nullptr || raw[0] != '0';
-}
-
-std::atomic<int>& KernelsState() {
-  // -1 = unresolved, 0 = off, 1 = on.
-  static std::atomic<int> state{-1};
-  return state;
+/// GREEN_KERNELS, resolved once on first use.
+std::atomic<bool>& KernelsState() {
+  static std::atomic<bool> enabled{
+      KnobSettings::FromEnv().Bool(Knob::kKernels, true)};
+  return enabled;
 }
 
 }  // namespace
 
 bool KernelsEnabled() {
-  int v = KernelsState().load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = KernelsFromEnv() ? 1 : 0;
-    KernelsState().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+  return KernelsState().load(std::memory_order_relaxed);
 }
 
 void SetKernelsEnabled(bool enabled) {
-  KernelsState().store(enabled ? 1 : 0, std::memory_order_relaxed);
+  KernelsState().store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace green

@@ -1,46 +1,6 @@
 #include "green/serve/serve_policy.h"
 
-#include <algorithm>
-#include <cstdlib>
-
-#include "green/common/logging.h"
-
 namespace green {
-
-namespace {
-
-/// Integer env knob: missing/malformed -> fallback, out-of-range -> clamp.
-/// Clamping happens on the wide type before any narrowing, so
-/// "99999999999999999999" saturates strtol at LONG_MAX and lands on `hi`
-/// instead of overflowing.
-long LongFromEnv(const char* name, long fallback, long lo, long hi) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    LogWarning(std::string(name) + ": ignoring malformed value '" + value +
-               "'");
-    return fallback;
-  }
-  return std::clamp(parsed, lo, hi);
-}
-
-double DoubleFromEnv(const char* name, double fallback, double lo,
-                     double hi) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || parsed != parsed) {
-    LogWarning(std::string(name) + ": ignoring malformed value '" + value +
-               "'");
-    return fallback;
-  }
-  return std::clamp(parsed, lo, hi);
-}
-
-}  // namespace
 
 const char* DeadlineActionName(ServePolicy::DeadlineAction action) {
   switch (action) {
@@ -77,42 +37,25 @@ Result<ServePolicy::ShedPolicy> ShedPolicyFromName(const std::string& name) {
                                  "' (want newest|oldest)");
 }
 
-ServePolicy ServePolicyFromEnv() {
+Result<ServePolicy> ServePolicyFromKnobs(const KnobSettings& knobs) {
   ServePolicy policy;
-  policy.queue_capacity = static_cast<size_t>(
-      LongFromEnv("GREEN_SERVE_QUEUE",
-                  static_cast<long>(policy.queue_capacity), 1, 1L << 20));
-  policy.max_batch = static_cast<size_t>(LongFromEnv(
-      "GREEN_SERVE_BATCH", static_cast<long>(policy.max_batch), 1, 4096));
+  policy.queue_capacity = static_cast<size_t>(knobs.Integer(
+      Knob::kServeQueue, static_cast<long>(policy.queue_capacity)));
+  policy.max_batch = static_cast<size_t>(
+      knobs.Integer(Knob::kServeBatch, static_cast<long>(policy.max_batch)));
   policy.batch_delay_seconds =
-      DoubleFromEnv("GREEN_SERVE_BATCH_DELAY_MS",
-                    policy.batch_delay_seconds * 1e3, 0.0, 60000.0) /
+      knobs.Real(Knob::kServeBatchDelayMs, policy.batch_delay_seconds * 1e3) /
       1e3;
   policy.deadline_seconds =
-      DoubleFromEnv("GREEN_SERVE_DEADLINE_MS",
-                    policy.deadline_seconds * 1e3, 0.0, 3600000.0) /
-      1e3;
-  policy.energy_slo_joules = DoubleFromEnv(
-      "GREEN_SERVE_ENERGY_SLO_J", policy.energy_slo_joules, 0.0, 1e12);
-  const char* action = std::getenv("GREEN_SERVE_POLICY");
-  if (action != nullptr && action[0] != '\0') {
-    Result<ServePolicy::DeadlineAction> parsed =
-        DeadlineActionFromName(action);
-    if (parsed.ok()) {
-      policy.on_deadline = *parsed;
-    } else {
-      LogWarning("GREEN_SERVE_POLICY: " + parsed.status().ToString());
-    }
-  }
-  const char* shed = std::getenv("GREEN_SERVE_SHED");
-  if (shed != nullptr && shed[0] != '\0') {
-    Result<ServePolicy::ShedPolicy> parsed = ShedPolicyFromName(shed);
-    if (parsed.ok()) {
-      policy.shed = *parsed;
-    } else {
-      LogWarning("GREEN_SERVE_SHED: " + parsed.status().ToString());
-    }
-  }
+      knobs.Real(Knob::kServeDeadlineMs, policy.deadline_seconds * 1e3) / 1e3;
+  policy.energy_slo_joules =
+      knobs.Real(Knob::kServeEnergySloJ, policy.energy_slo_joules);
+  GREEN_ASSIGN_OR_RETURN(policy.on_deadline,
+                         knobs.Enum(Knob::kServePolicy, policy.on_deadline,
+                                    DeadlineActionFromName));
+  GREEN_ASSIGN_OR_RETURN(
+      policy.shed,
+      knobs.Enum(Knob::kServeShed, policy.shed, ShedPolicyFromName));
   return policy;
 }
 

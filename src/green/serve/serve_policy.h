@@ -4,15 +4,14 @@
 #include <cstddef>
 #include <string>
 
+#include "green/common/knobs.h"
 #include "green/common/status.h"
 
 namespace green {
 
 /// Knobs governing how an InferenceServer trades latency, energy, and
-/// answer quality under load. Every field has a GREEN_SERVE_* environment
-/// override (lenient: malformed values fall back to the default,
-/// out-of-range values clamp — a serving process should never fail to
-/// start because of a fat-fingered knob).
+/// answer quality under load. Each field is a knob (common/knobs.h): a
+/// GREEN_SERVE_* variable and a --serve-* flag, range in the knob table.
 struct ServePolicy {
   /// What happens when a request's deadline fires mid-predict (or, under
   /// kFail, when an answer would land after the deadline anyway).
@@ -26,22 +25,19 @@ struct ServePolicy {
     kOldest = 1,  ///< Evict the head of the queue, admit the newcomer.
   };
 
-  /// Admission queue bound (requests). GREEN_SERVE_QUEUE, clamped to
-  /// [1, 1048576].
+  /// Admission queue bound (requests).
   size_t queue_capacity = 64;
-  /// Micro-batch size cap. GREEN_SERVE_BATCH, clamped to [1, 4096].
+  /// Micro-batch size cap.
   size_t max_batch = 8;
   /// How long a freshly opened batch waits for more arrivals (virtual
-  /// seconds). GREEN_SERVE_BATCH_DELAY_MS, clamped to [0, 60000] ms.
+  /// seconds); its knob is in ms.
   double batch_delay_seconds = 0.005;
   /// Per-request deadline measured from arrival (virtual seconds);
-  /// 0 disables deadlines. GREEN_SERVE_DEADLINE_MS, clamped to
-  /// [0, 3600000] ms.
+  /// 0 disables deadlines. Its knob is in ms.
   double deadline_seconds = 0.0;
   /// Per-request dynamic-energy SLO (Joules); 0 disables it. When set,
   /// the server preselects the best ladder tier whose probed
-  /// Joules-per-row fits the SLO. GREEN_SERVE_ENERGY_SLO_J, clamped to
-  /// [0, 1e12].
+  /// Joules-per-row fits the SLO.
   double energy_slo_joules = 0.0;
   /// GREEN_SERVE_POLICY: "fail" | "degrade".
   DeadlineAction on_deadline = DeadlineAction::kFail;
@@ -56,8 +52,9 @@ Result<ServePolicy::DeadlineAction> DeadlineActionFromName(
 const char* ShedPolicyName(ServePolicy::ShedPolicy shed);
 Result<ServePolicy::ShedPolicy> ShedPolicyFromName(const std::string& name);
 
-/// Defaults overridden by the GREEN_SERVE_* environment variables.
-ServePolicy ServePolicyFromEnv();
+/// Defaults overridden by the GREEN_SERVE_* knobs. Fails only for a
+/// malformed --serve-policy or --serve-shed flag.
+Result<ServePolicy> ServePolicyFromKnobs(const KnobSettings& knobs);
 
 }  // namespace green
 

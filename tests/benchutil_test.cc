@@ -11,6 +11,9 @@
 #include "green/common/cancel.h"
 #include "green/common/fault.h"
 #include "green/common/retry.h"
+#include "green/common/thread_pool.h"
+
+#include "env_guard.h"
 
 namespace green {
 namespace {
@@ -269,7 +272,8 @@ TEST_F(RunnerTest, MinBudgetTracksSystemDeclaration) {
 }
 
 TEST_F(RunnerTest, JobsFromEnvParsing) {
-  EXPECT_GE(JobsFromEnv(), 1);  // Whatever the environment, never < 1.
+  // Whatever the environment, never < 1.
+  EXPECT_GE(ExperimentConfig::FromEnv().jobs, 1);
 }
 
 TEST_F(RunnerTest, ConfigFromEnvDefaultsToFast) {
@@ -280,80 +284,40 @@ TEST_F(RunnerTest, ConfigFromEnvDefaultsToFast) {
 
 // --- env parser edge cases ---
 
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_value_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
+/// The harness config with one variable set (nullptr = unset).
+ExperimentConfig ConfigWithEnv(const char* name, const char* value) {
+  EnvGuard guard(name, value);
+  return ExperimentConfig::FromEnv();
+}
 
 TEST(EnvParserTest, JobsEmptyGarbageOverflow) {
-  {
-    EnvGuard guard("GREEN_JOBS", nullptr);
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "");
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "banana");
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "4x");  // Trailing garbage.
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    // LONG_MAX-scale input must clamp, not overflow the int cast.
-    EnvGuard guard("GREEN_JOBS", "99999999999999999999");
-    EXPECT_EQ(JobsFromEnv(), 4096);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "-17");
-    EXPECT_EQ(JobsFromEnv(), 1);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "3");
-    EXPECT_EQ(JobsFromEnv(), 3);
-  }
-  {
-    EnvGuard guard("GREEN_JOBS", "0");
-    EXPECT_GE(JobsFromEnv(), 1);  // Hardware concurrency.
-  }
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", nullptr).jobs, 1);
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "").jobs, 1);
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "banana").jobs, 1);
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "4x").jobs, 1);  // Trailing junk.
+  // LONG_MAX-scale input must clamp, not overflow the int cast.
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "99999999999999999999").jobs, 4096);
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "-17").jobs, 1);
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "3").jobs, 3);
+  // Hardware concurrency.
+  EXPECT_EQ(ConfigWithEnv("GREEN_JOBS", "0").jobs,
+            ThreadPool::DefaultThreads());
 }
 
 TEST(EnvParserTest, FaultsAndJournalPassThrough) {
   {
     EnvGuard faults("GREEN_FAULTS", nullptr);
     EnvGuard journal("GREEN_JOURNAL", nullptr);
-    EXPECT_EQ(FaultsFromEnv(), "");
-    EXPECT_EQ(JournalFromEnv(), "");
+    const ExperimentConfig config = ExperimentConfig::FromEnv();
+    EXPECT_EQ(config.faults, "");
+    EXPECT_EQ(config.journal_path, "");
   }
   {
     EnvGuard faults("GREEN_FAULTS", "run.fit@0.5");
     EnvGuard journal("GREEN_JOURNAL", "/tmp/journal.jsonl");
-    EXPECT_EQ(FaultsFromEnv(), "run.fit@0.5");
-    EXPECT_EQ(JournalFromEnv(), "/tmp/journal.jsonl");
+    const ExperimentConfig config = ExperimentConfig::FromEnv();
+    EXPECT_EQ(config.faults, "run.fit@0.5");
+    EXPECT_EQ(config.journal_path, "/tmp/journal.jsonl");
   }
   {
     // A garbage GREEN_FAULTS must not break startup: Lenient drops the
@@ -366,49 +330,62 @@ TEST(EnvParserTest, FaultsAndJournalPassThrough) {
 
 TEST(EnvParserTest, RetriesAndCellTimeout) {
   const int fallback = RetryPolicy().max_attempts;
-  {
-    EnvGuard guard("GREEN_RETRIES", nullptr);
-    EXPECT_EQ(RetriesFromEnv(), fallback);
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "nope");
-    EXPECT_EQ(RetriesFromEnv(), fallback);
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "99999999999999999999");
-    EXPECT_EQ(RetriesFromEnv(), 100);  // Clamped.
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "-2");
-    EXPECT_EQ(RetriesFromEnv(), 1);  // Clamped: at least one attempt.
-  }
-  {
-    EnvGuard guard("GREEN_RETRIES", "5");
-    EXPECT_EQ(RetriesFromEnv(), 5);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", nullptr);
-    EXPECT_EQ(CellTimeoutFromEnv(), 0.0);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", "abc");
-    EXPECT_EQ(CellTimeoutFromEnv(), 0.0);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", "-5");
-    EXPECT_EQ(CellTimeoutFromEnv(), 0.0);
-  }
-  {
-    EnvGuard guard("GREEN_CELL_TIMEOUT", "2.5");
-    EXPECT_EQ(CellTimeoutFromEnv(), 2.5);
-  }
-  {
-    EnvGuard resume("GREEN_RESUME", "1");
-    EXPECT_TRUE(ResumeFromEnv());
-  }
-  {
-    EnvGuard resume("GREEN_RESUME", "0");
-    EXPECT_FALSE(ResumeFromEnv());
+  auto retries = [](const char* value) {
+    return ConfigWithEnv("GREEN_RETRIES", value).retry.max_attempts;
+  };
+  EXPECT_EQ(retries(nullptr), fallback);
+  EXPECT_EQ(retries("nope"), fallback);
+  EXPECT_EQ(retries("99999999999999999999"), 100);  // Clamped.
+  EXPECT_EQ(retries("-2"), 1);  // Clamped: at least one attempt.
+  EXPECT_EQ(retries("5"), 5);
+
+  auto timeout = [](const char* value) {
+    return ConfigWithEnv("GREEN_CELL_TIMEOUT", value).cell_timeout_seconds;
+  };
+  EXPECT_EQ(timeout(nullptr), 0.0);
+  EXPECT_EQ(timeout("abc"), 0.0);
+  EXPECT_EQ(timeout("nan"), 0.0);
+  EXPECT_EQ(timeout("-5"), 0.0);
+  EXPECT_EQ(timeout("2.5"), 2.5);
+  // Infinite and huge timeouts clamp to a finite cap whose nanosecond
+  // count still fits the watchdog's int64_t.
+  EXPECT_EQ(timeout("inf"), 1e9);
+  EXPECT_EQ(timeout("1e300"), 1e9);
+
+  EXPECT_TRUE(ConfigWithEnv("GREEN_RESUME", "1").resume);
+  EXPECT_FALSE(ConfigWithEnv("GREEN_RESUME", "0").resume);
+  EXPECT_FALSE(ConfigWithEnv("GREEN_RESUME", "10").resume);  // Malformed.
+}
+
+TEST(EnvParserTest, FullSelectsFullProfileAndAllTasks) {
+  const ExperimentConfig full = ConfigWithEnv("GREEN_FULL", "1");
+  EXPECT_EQ(full.profile.max_rows, SimulationProfile::Full().max_rows);
+  EXPECT_EQ(full.dataset_limit, 0u);
+  EXPECT_EQ(full.repetitions, 10);
+  const ExperimentConfig fast = ConfigWithEnv("GREEN_FULL", "0");
+  EXPECT_EQ(fast.profile.max_rows, SimulationProfile::Fast().max_rows);
+  EXPECT_EQ(fast.dataset_limit, ExperimentConfig().dataset_limit);
+  // A default-constructed config never reads the environment.
+  EnvGuard guard("GREEN_FULL", "1");
+  EXPECT_EQ(ExperimentConfig().profile.max_rows,
+            SimulationProfile::Fast().max_rows);
+}
+
+// An unbounded GREEN_CELL_TIMEOUT used to reach the watchdog's
+// double -> int64_t nanosecond cast as inf or 1e300, which is undefined
+// behaviour (UBSan float-cast-overflow).
+TEST(EnvParserTest, InfiniteCellTimeoutSweepsOneCell) {
+  for (const char* value : {"inf", "1e300"}) {
+    SCOPED_TRACE(value);
+    ExperimentConfig config = ConfigWithEnv("GREEN_CELL_TIMEOUT", value);
+    config.dataset_limit = 1;
+    config.repetitions = 1;
+    config.seed = 7;
+    ExperimentRunner runner(config);
+    auto records = runner.Sweep({"caml"}, {10.0});
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), 1u);
+    EXPECT_EQ((*records)[0].outcome, RunOutcome::kOk);
   }
 }
 
@@ -621,13 +598,14 @@ TEST_F(JournalTest, SweepWritesJournalMatchingRecords) {
   auto records = runner.Sweep({"caml"}, {10.0, 30.0});
   ASSERT_TRUE(records.ok());
 
-  auto journaled = ReadJournalJsonl(config.journal_path);
-  ASSERT_TRUE(journaled.ok());
-  ASSERT_EQ(journaled->size(), records->size());
+  auto journal = ReadJournal(config.journal_path);
+  ASSERT_TRUE(journal.ok());
+  const std::vector<RunRecord>& journaled = journal->records;
+  ASSERT_EQ(journaled.size(), records->size());
   // Journal lines round-trip to the records byte-identically (order may
   // differ under parallel sweeps; here jobs=1 keeps it aligned).
   for (size_t i = 0; i < records->size(); ++i) {
-    EXPECT_EQ(RecordToJson((*journaled)[i]), RecordToJson((*records)[i]));
+    EXPECT_EQ(RecordToJson(journaled[i]), RecordToJson((*records)[i]));
   }
   std::remove(config.journal_path.c_str());
 }
@@ -682,9 +660,9 @@ TEST_F(JournalTest, AbortedSweepResumesByteIdentical) {
       },
       "injected abort");
 
-  auto journaled = ReadJournalJsonl(config.journal_path);
-  ASSERT_TRUE(journaled.ok());
-  EXPECT_EQ(journaled->size(), 2u);
+  auto journal = ReadJournal(config.journal_path);
+  ASSERT_TRUE(journal.ok());
+  EXPECT_EQ(journal->records.size(), 2u);
 
   // Restart with --resume: only the missing cells run; the record
   // stream is byte-identical to the uninterrupted sweep.

@@ -2,12 +2,16 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "green/common/knobs.h"
 #include "green/common/logging.h"
 #include "green/common/mathutil.h"
 #include "green/common/rng.h"
+#include "green/common/shard.h"
 #include "green/common/status.h"
 #include "green/common/stringutil.h"
+#include "green/common/thread_pool.h"
 
 namespace green {
 namespace {
@@ -310,6 +314,93 @@ TEST(LoggingTest, LevelFilterRoundTrip) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   LogInfo("should be invisible");  // Must not crash.
   SetLogLevel(original);
+}
+
+// --- knobs ---
+
+TEST(KnobsTest, TableSpellingsAreUniqueAndRangesFinite) {
+  std::set<std::string> envs, flags;
+  for (size_t i = 0; i < kNumKnobs; ++i) {
+    EXPECT_EQ(static_cast<size_t>(AllKnobs()[i].knob), i);  // Knob order.
+  }
+  for (const KnobSpec& spec : AllKnobs()) {
+    EXPECT_TRUE(spec.env != nullptr || spec.flag != nullptr);
+    if (spec.env != nullptr) {
+      EXPECT_TRUE(envs.insert(spec.env).second) << spec.env;
+      EXPECT_EQ(std::string(spec.env).rfind("GREEN_", 0), 0u) << spec.env;
+    }
+    if (spec.flag != nullptr) {
+      EXPECT_TRUE(flags.insert(spec.flag).second) << spec.flag;
+      EXPECT_EQ(FindKnobFlag(spec.flag), &spec);
+    }
+    EXPECT_TRUE(!spec.bare || spec.type == KnobType::kBool);
+    if (spec.type == KnobType::kInteger || spec.type == KnobType::kReal) {
+      EXPECT_TRUE(std::isfinite(spec.lo) && std::isfinite(spec.hi));
+      EXPECT_LT(spec.lo, spec.hi);
+    }
+  }
+  EXPECT_EQ(FindKnobFlag("--no-such-flag"), nullptr);
+  // The watchdog turns the timeout into int64_t nanoseconds.
+  EXPECT_LT(AllKnobs()[static_cast<size_t>(Knob::kCellTimeout)].hi * 1e9,
+            9.2e18);
+}
+
+TEST(KnobsTest, BoolIsExactlyZeroOrOne) {
+  EXPECT_TRUE(ParseBoolKnob("1").value());
+  EXPECT_FALSE(ParseBoolKnob("0").value());
+  for (const char* bad : {"true", "10", "01", " 1", "on", "off", ""}) {
+    EXPECT_FALSE(ParseBoolKnob(bad).ok()) << bad;
+  }
+}
+
+TEST(KnobsTest, NumbersParseInFullAndClamp) {
+  EXPECT_EQ(ParseIntegerKnob(Knob::kServeBatch, "17").value(), 17);
+  EXPECT_EQ(ParseIntegerKnob(Knob::kServeBatch, "-3").value(), 1);
+  EXPECT_EQ(ParseIntegerKnob(Knob::kServeBatch, "99999999999999999999")
+                .value(),
+            4096);
+  for (const char* bad : {"", "4x", "2.5", "1e3", "inf", "nan", "5 "}) {
+    EXPECT_FALSE(ParseIntegerKnob(Knob::kServeBatch, bad).ok()) << bad;
+  }
+  // GREEN_JOBS alone maps 0 to every hardware thread.
+  EXPECT_EQ(ParseIntegerKnob(Knob::kJobs, "0").value(),
+            ThreadPool::DefaultThreads());
+  EXPECT_EQ(ParseIntegerKnob(Knob::kJobs, "-3").value(), 1);
+
+  EXPECT_EQ(ParseRealKnob(Knob::kServeDeadlineMs, "2.5").value(), 2.5);
+  EXPECT_EQ(ParseRealKnob(Knob::kServeDeadlineMs, "-1").value(), 0.0);
+  EXPECT_EQ(ParseRealKnob(Knob::kServeDeadlineMs, "inf").value(), 3600000.0);
+  EXPECT_EQ(ParseRealKnob(Knob::kServeDeadlineMs, "-inf").value(), 0.0);
+  EXPECT_EQ(ParseRealKnob(Knob::kServeDeadlineMs, "1e300").value(),
+            3600000.0);
+  for (const char* bad : {"", "nan", "-nan", "2.5ms", "abc", "1 "}) {
+    EXPECT_FALSE(ParseRealKnob(Knob::kServeDeadlineMs, bad).ok()) << bad;
+  }
+}
+
+TEST(KnobsTest, MalformedFlagNamesItselfAndEmptyFlagRestoresDefault) {
+  KnobSettings knobs;
+  const Status bad = knobs.SetFlag(Knob::kServeBatchDelayMs, "nan");
+  EXPECT_FALSE(bad.ok());
+  EXPECT_EQ(bad.message(), "--serve-batch-delay-ms: 'nan' is not a number");
+  EXPECT_EQ(knobs.Real(Knob::kServeBatchDelayMs, 5.0), 5.0);
+
+  ASSERT_TRUE(knobs.SetFlag(Knob::kRetries, "7").ok());
+  EXPECT_EQ(knobs.Integer(Knob::kRetries, 2), 7);
+  ASSERT_TRUE(knobs.SetFlag(Knob::kRetries, "").ok());
+  EXPECT_EQ(knobs.Integer(Knob::kRetries, 2), 2);
+
+  // A shard spec is checked with the flag; other enums where their type
+  // is known.
+  EXPECT_EQ(knobs.SetFlag(Knob::kShard, "3/2").message().rfind("--shard: ", 0),
+            0u);
+  ASSERT_TRUE(knobs.SetFlag(Knob::kTask, "nope").ok());
+  const Result<bool> task = knobs.Enum(
+      Knob::kTask, false, [](const std::string&) -> Result<bool> {
+        return Status::InvalidArgument("unknown task");
+      });
+  ASSERT_FALSE(task.ok());
+  EXPECT_EQ(task.status().message(), "--task: unknown task");
 }
 
 }  // namespace

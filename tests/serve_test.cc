@@ -11,11 +11,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "green/automl/fitted_artifact.h"
+#include "green/bench_util/experiment.h"
 #include "green/common/fault.h"
+#include "green/common/knobs.h"
 #include "green/common/stringutil.h"
 #include "green/data/synthetic.h"
 #include "green/ml/model_registry.h"
@@ -24,6 +27,8 @@
 #include "green/serve/request_stream.h"
 #include "green/serve/serve_policy.h"
 #include "green/sim/execution_context.h"
+
+#include "env_guard.h"
 
 namespace green {
 namespace {
@@ -397,33 +402,93 @@ TEST_F(ServeTest, UnsortedTraceIsRejected) {
 
 // --- GREEN_SERVE_* environment overrides ------------------------------
 
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name(name) {}
-  ~EnvGuard() { ::unsetenv(name); }
-  const char* name;
-};
-
 TEST_F(ServeTest, PolicyFromEnvClampsOverflowAndIgnoresGarbage) {
-  EnvGuard queue("GREEN_SERVE_QUEUE");
-  EnvGuard batch("GREEN_SERVE_BATCH");
-  EnvGuard deadline("GREEN_SERVE_DEADLINE_MS");
-  EnvGuard action("GREEN_SERVE_POLICY");
-  EnvGuard shed("GREEN_SERVE_SHED");
   // Overflows strtol/strtod's range: must clamp, not wrap or crash.
-  ::setenv("GREEN_SERVE_QUEUE", "99999999999999999999", 1);
-  ::setenv("GREEN_SERVE_BATCH", "-7", 1);
-  ::setenv("GREEN_SERVE_DEADLINE_MS", "1e30", 1);
-  ::setenv("GREEN_SERVE_POLICY", "degrade", 1);
-  ::setenv("GREEN_SERVE_SHED", "bogus", 1);
-  const ServePolicy policy = ServePolicyFromEnv();
+  EnvGuard queue("GREEN_SERVE_QUEUE", "99999999999999999999");
+  EnvGuard batch("GREEN_SERVE_BATCH", "-7");
+  EnvGuard deadline("GREEN_SERVE_DEADLINE_MS", "1e30");
+  EnvGuard action("GREEN_SERVE_POLICY", "degrade");
+  EnvGuard shed("GREEN_SERVE_SHED", "bogus");
+  const ServePolicy policy =
+      ServePolicyFromKnobs(KnobSettings::FromEnv()).value();
   EXPECT_EQ(policy.queue_capacity, 1048576u);
   EXPECT_EQ(policy.max_batch, 1u);
   EXPECT_DOUBLE_EQ(policy.deadline_seconds, 3600.0);  // 3600000 ms cap.
   EXPECT_EQ(policy.on_deadline, ServePolicy::DeadlineAction::kDegrade);
   EXPECT_EQ(policy.shed, ServePolicy::ShedPolicy::kNewest);  // Fallback.
 
-  ::setenv("GREEN_SERVE_QUEUE", "12abc", 1);
-  EXPECT_EQ(ServePolicyFromEnv().queue_capacity, 64u);  // Malformed.
+  queue.Set("12abc");
+  EXPECT_EQ(ServePolicyFromKnobs(KnobSettings::FromEnv())->queue_capacity,
+            64u);  // Malformed.
+}
+
+// --- one rule for every knob: a flag gives what its env var gives ------
+
+/// Everything the env-and-flag knobs set, printed; or the error of a
+/// malformed flag.
+std::string Resolve(const KnobSettings& knobs) {
+  const ExperimentConfig config = ExperimentConfig::FromKnobs(knobs);
+  const Result<ServePolicy> policy = ServePolicyFromKnobs(knobs);
+  if (!policy.ok()) return policy.status().message();
+  return StrFormat(
+      "jobs=%d shard=%d/%d faults=%s journal=%s resume=%d retries=%d "
+      "timeout=%.17g scopes=%d cache=%d queue=%zu batch=%zu delay=%.17g "
+      "deadline=%.17g slo=%.17g policy=%s shed=%s",
+      config.jobs, config.shard_index, config.shard_count,
+      config.faults.c_str(), config.journal_path.c_str(),
+      config.resume ? 1 : 0, config.retry.max_attempts,
+      config.cell_timeout_seconds, config.collect_scopes ? 1 : 0,
+      config.transform_cache ? 1 : 0, policy->queue_capacity,
+      policy->max_batch, policy->batch_delay_seconds,
+      policy->deadline_seconds, policy->energy_slo_joules,
+      DeadlineActionName(policy->on_deadline),
+      ShedPolicyName(policy->shed));
+}
+
+TEST(KnobParityTest, EveryFlagGivesWhatItsEnvVarGives) {
+  std::vector<std::unique_ptr<EnvGuard>> cleared;
+  for (const KnobSpec& spec : AllKnobs()) {
+    if (spec.env != nullptr) {
+      cleared.push_back(std::make_unique<EnvGuard>(spec.env, nullptr));
+    }
+  }
+  const std::string defaults = Resolve(KnobSettings::FromEnv());
+  const std::vector<std::string> inputs = {
+      // Valid, boundary and out-of-range.
+      "1", "0", "3", "2.5", "4096", "4097", "-7", "1e30",
+      "99999999999999999999", "1/3", "degrade", "oldest", "run.fit@0.5",
+      // Non-finite, junk and empty.
+      "nan", "inf", "-inf", "4x", "5 ", "bogus", ""};
+  int compared = 0;
+  for (const KnobSpec& spec : AllKnobs()) {
+    if (spec.env == nullptr || spec.flag == nullptr) continue;
+    for (const std::string& input : inputs) {
+      SCOPED_TRACE(std::string(spec.flag) + " '" + input + "'");
+      std::string from_env;
+      {
+        EnvGuard guard(spec.env, input.c_str());
+        from_env = Resolve(KnobSettings::FromEnv());
+      }
+      KnobSettings flagged = KnobSettings::FromEnv();
+      const Status set = flagged.SetFlag(spec.knob, input);
+      const std::string from_flag = set.ok() ? Resolve(flagged) : set.message();
+      const bool malformed = from_flag.rfind(spec.flag + std::string(": "),
+                                             0) == 0;
+      if (spec.type == KnobType::kInteger || spec.type == KnobType::kReal) {
+        if (input == "nan" || input == "4x" || input == "5 ") {
+          EXPECT_TRUE(malformed);
+        }
+        if (spec.type == KnobType::kReal && input == "inf") {
+          EXPECT_FALSE(malformed);  // Clamps to the knob's hi.
+        }
+      }
+      // A malformed flag is an error; the same env value keeps the
+      // default. Everything else resolves identically.
+      EXPECT_EQ(from_env, malformed ? defaults : from_flag);
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 16 * static_cast<int>(inputs.size()));
 }
 
 TEST_F(ServeTest, NameRoundTrips) {

@@ -12,8 +12,11 @@
 #include "green/bench_util/aggregate.h"
 #include "green/bench_util/experiment.h"
 #include "green/bench_util/record_io.h"
+#include "green/common/knobs.h"
 #include "green/common/shard.h"
 #include "green/common/stringutil.h"
+
+#include "env_guard.h"
 
 namespace green {
 namespace {
@@ -64,50 +67,34 @@ TEST(ShardSpecTest, InvalidSpecsDetected) {
   EXPECT_TRUE((ShardSpec{3, 4}).valid());
 }
 
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
 TEST(ShardSpecTest, FromEnv) {
+  auto shard_with_env = [](const char* value) {
+    EnvGuard guard("GREEN_SHARD", value);
+    return KnobSettings::FromEnv()
+        .Enum(Knob::kShard, ShardSpec{}, ParseShardSpec)
+        .value();
+  };
   {
-    EnvGuard guard("GREEN_SHARD", nullptr);
-    const ShardSpec shard = ShardFromEnv();
+    const ShardSpec shard = shard_with_env(nullptr);
     EXPECT_EQ(shard.index, 0);
     EXPECT_EQ(shard.count, 1);
   }
   {
-    EnvGuard guard("GREEN_SHARD", "1/3");
-    const ShardSpec shard = ShardFromEnv();
+    const ShardSpec shard = shard_with_env("1/3");
     EXPECT_EQ(shard.index, 1);
     EXPECT_EQ(shard.count, 3);
   }
   {
-    EnvGuard guard("GREEN_SHARD", "nonsense");
-    const ShardSpec shard = ShardFromEnv();  // Warns, falls back.
+    const ShardSpec shard = shard_with_env("nonsense");  // Warns, falls back.
     EXPECT_EQ(shard.index, 0);
     EXPECT_EQ(shard.count, 1);
+  }
+  {
+    // The harness config carries the same spec.
+    EnvGuard guard("GREEN_SHARD", "2/5");
+    const ExperimentConfig config = ExperimentConfig::FromEnv();
+    EXPECT_EQ(config.shard_index, 2);
+    EXPECT_EQ(config.shard_count, 5);
   }
 }
 

@@ -37,6 +37,8 @@
 #include "green/sim/execution_context.h"
 #include "green/table/dataset.h"
 
+#include "env_guard.h"
+
 namespace green {
 namespace {
 
@@ -964,8 +966,22 @@ TEST(ModelMemoTest, SweepRecordsIdenticalCacheOnOffAndAcrossJobs) {
 }
 
 TEST(TransformCacheSweepTest, EnvKnobsParse) {
-  EXPECT_GE(TransformCacheMbFromEnv(), 1.0);
-  TransformCacheFromEnv();  // Must not crash; value depends on env.
+  // Whatever the environment, the budget is at least 1 MB.
+  EXPECT_GE(ExperimentConfig::FromEnv().transform_cache_mb, 1.0);
+  {
+    EnvGuard mb("GREEN_TRANSFORM_CACHE_MB", "0.5");
+    EXPECT_EQ(ExperimentConfig::FromEnv().transform_cache_mb, 1.0);
+    mb.Set("1e300");
+    EXPECT_EQ(ExperimentConfig::FromEnv().transform_cache_mb, 65536.0);
+    mb.Set("nan");  // Malformed: the default stays.
+    EXPECT_EQ(ExperimentConfig::FromEnv().transform_cache_mb, 256.0);
+  }
+  EnvGuard cache("GREEN_TRANSFORM_CACHE", "0");
+  EXPECT_FALSE(ExperimentConfig::FromEnv().transform_cache);
+  cache.Set("1");
+  EXPECT_TRUE(ExperimentConfig::FromEnv().transform_cache);
+  cache.Set("off");  // Malformed: the default (on) stays.
+  EXPECT_TRUE(ExperimentConfig::FromEnv().transform_cache);
 }
 
 }  // namespace
